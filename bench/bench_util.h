@@ -78,7 +78,6 @@ struct RunResult {
   /// quantization — a live cross-check that both pipelines see every sample.
   std::uint64_t deliveries = 0;
   double dlv_p50_ms = 0, dlv_p95_ms = 0, dlv_p99_ms = 0;
-  double dlv_sum_p50_ms = 0, dlv_sum_p95_ms = 0, dlv_sum_p99_ms = 0;
 };
 
 /// Fills the delivery-latency fields of `r` from a finished scenario.
@@ -91,10 +90,6 @@ inline void fill_delivery_latency(Scenario& s, RunResult& r) {
       r.dlv_p99_ms = obs::sample_percentile(ms, 0.99) * 1e3;
     }
   }
-  const Summary& d = s.stats().delivery_latency_summary();
-  r.dlv_sum_p50_ms = d.p50() * 1e3;
-  r.dlv_sum_p95_ms = d.p95() * 1e3;
-  r.dlv_sum_p99_ms = d.p99() * 1e3;
 }
 
 /// Wires the observability sinks when TMPS_TRACE is set: "1" writes
@@ -200,10 +195,7 @@ inline BenchJson::Row& result_fields(BenchJson::Row& row, const RunResult& r) {
       .field("deliveries", r.deliveries)
       .field("dlv_p50_ms", r.dlv_p50_ms)
       .field("dlv_p95_ms", r.dlv_p95_ms)
-      .field("dlv_p99_ms", r.dlv_p99_ms)
-      .field("dlv_sum_p50_ms", r.dlv_sum_p50_ms)
-      .field("dlv_sum_p95_ms", r.dlv_sum_p95_ms)
-      .field("dlv_sum_p99_ms", r.dlv_sum_p99_ms);
+      .field("dlv_p99_ms", r.dlv_p99_ms);
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

@@ -75,27 +75,20 @@ int main() {
                 all.mean() * 1e3, all.max() * 1e3,
                 static_cast<unsigned long long>(all.count()));
 
-    // End-to-end publication delivery latency from provenance: histogram
-    // percentiles and the Stats summary over the same samples (they agree
-    // within log-bucket quantization).
+    // End-to-end publication delivery latency from provenance.
     RunResult dlv;
     fill_delivery_latency(s, dlv);
-    std::printf(
-        "delivery latency (n=%llu): p50=%.2f/%.2f ms  p95=%.2f/%.2f ms  "
-        "p99=%.2f/%.2f ms  (histogram/summary)\n",
-        static_cast<unsigned long long>(dlv.deliveries), dlv.dlv_p50_ms,
-        dlv.dlv_sum_p50_ms, dlv.dlv_p95_ms, dlv.dlv_sum_p95_ms, dlv.dlv_p99_ms,
-        dlv.dlv_sum_p99_ms);
+    std::printf("delivery latency (n=%llu): p50=%.2f ms  p95=%.2f ms  "
+                "p99=%.2f ms\n",
+                static_cast<unsigned long long>(dlv.deliveries),
+                dlv.dlv_p50_ms, dlv.dlv_p95_ms, dlv.dlv_p99_ms);
     json.add_row()
         .field("protocol", label(proto))
         .field("row_kind", "delivery_latency")
         .field("deliveries", dlv.deliveries)
         .field("dlv_p50_ms", dlv.dlv_p50_ms)
         .field("dlv_p95_ms", dlv.dlv_p95_ms)
-        .field("dlv_p99_ms", dlv.dlv_p99_ms)
-        .field("dlv_sum_p50_ms", dlv.dlv_sum_p50_ms)
-        .field("dlv_sum_p95_ms", dlv.dlv_sum_p95_ms)
-        .field("dlv_sum_p99_ms", dlv.dlv_sum_p99_ms);
+        .field("dlv_p99_ms", dlv.dlv_p99_ms);
 
     // Congestion evidence: the busiest brokers' utilization. The covering
     // protocol's latency comes from saturating the spine brokers.

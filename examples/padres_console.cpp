@@ -1,7 +1,7 @@
 // An interactive console over a live broker overlay: type PADRES-syntax
 // commands, watch notifications arrive, move clients between brokers.
-// Demonstrates the parser, the MobileClient facade and the thread transport
-// together. Also scriptable:
+// Demonstrates the parser, the MobileClient facade and the TCP transport
+// (every broker on a loopback port) together. Also scriptable:
 //
 //   build/examples/padres_console <<'EOF'
 //   connect alice 1
@@ -20,7 +20,7 @@
 
 #include "core/mobile_client.h"
 #include "pubsub/parser.h"
-#include "transport/inproc_transport.h"
+#include "transport/tcp_transport.h"
 
 using namespace tmps;
 
@@ -46,7 +46,7 @@ int main() {
   BrokerConfig bc;
   bc.subscription_covering = false;  // reconfiguration mobility (DESIGN.md)
   bc.advertisement_covering = false;
-  InprocTransport net(overlay, bc);
+  TcpTransport net(overlay, /*base_port=*/0, bc);
 
   EngineDirectory directory;
   std::map<std::string, ClientId> names;
@@ -64,7 +64,10 @@ int main() {
           std::fflush(stdout);
         });
   }
-  net.start();
+  if (!net.start()) {
+    std::fprintf(stderr, "cannot open loopback sockets\n");
+    return 1;
+  }
 
   std::printf("tmps console — 14-broker overlay (Fig. 6); 'help' for "
               "commands\n");

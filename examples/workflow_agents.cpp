@@ -1,9 +1,9 @@
-// Workflow-agent redeployment on the LIVE thread transport (the paper's
+// Workflow-agent redeployment on the LIVE TCP transport (the paper's
 // distributed process-execution motivation): task-executing agents are
 // hosted by brokers, consume task events for their activity, publish
 // completion events, and get redeployed between execution engines at
-// runtime. Everything here runs on real threads — the same protocol code
-// the simulator benchmarks.
+// runtime. Everything here runs on real threads and loopback sockets — the
+// same protocol code the simulator benchmarks.
 //
 //   build/examples/workflow_agents
 #include <atomic>
@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "transport/inproc_transport.h"
+#include "transport/tcp_transport.h"
 
 using namespace tmps;
 
@@ -37,7 +37,7 @@ int main() {
   BrokerConfig bc;
   bc.subscription_covering = false;
   bc.advertisement_covering = false;
-  InprocTransport net(overlay, bc);
+  TcpTransport net(overlay, /*base_port=*/0, bc);
 
   constexpr ClientId kDispatcher = 1;
   constexpr ClientId kAgentA = 10;  // executes activity "validate"
@@ -77,7 +77,10 @@ int main() {
           }
         });
   }
-  net.start();
+  if (!net.start()) {
+    std::fprintf(stderr, "cannot open loopback sockets\n");
+    return 1;
+  }
 
   // The dispatcher publishes task events; agents subscribe per activity;
   // a monitor watches completions.

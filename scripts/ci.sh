@@ -6,8 +6,8 @@
 #   2. an AddressSanitizer+UBSan build (-DTMPS_SANITIZE=address), which has
 #      caught lifetime bugs the plain run cannot;
 #   3. a ThreadSanitizer build (-DTMPS_SANITIZE=thread) scoped to the
-#      threaded code paths: the tcp/inproc transports, the HTTP admin
-#      endpoints and the broker fixtures they drive;
+#      threaded code paths: the TCP transport, the HTTP admin endpoints
+#      and the broker fixtures they drive;
 #   4. an audit leg: the fig09 workload sweep with tracing and the embedded
 #      movement-invariant auditor enabled, re-checked from the emitted JSONL
 #      files by tools/tmps_audit. Any invariant violation fails the leg.
@@ -100,7 +100,7 @@ run_suite build-asan -DTMPS_SANITIZE=address
 # single-threaded; running the whole suite under TSan would triple CI time
 # for no extra coverage).
 run_suite build-tsan \
-  --filter '^(TcpTest|InprocTest|HttpAdmin|BrokerChain|BrokerCovering)' \
+  --filter '^(TcpTest|HttpAdmin|BrokerChain|BrokerCovering)' \
   -DTMPS_SANITIZE=thread
 
 echo "=== audit leg: fig09 under the movement-invariant auditor ==="

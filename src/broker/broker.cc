@@ -57,8 +57,6 @@ std::string fmt_secs(double v) {
 Broker::Broker(BrokerId id, const Overlay* overlay, BrokerConfig cfg)
     : id_(id), overlay_(overlay), cfg_(std::move(cfg)) {
   assert(overlay_ && overlay_->contains(id_));
-  tables_.set_use_cover_index(cfg_.covering_index);
-  tables_.set_use_forward_index(cfg_.forwarding_index);
   if (cfg_.obs.flight_capacity > 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(cfg_.obs.flight_capacity);
   }
@@ -282,7 +280,6 @@ void Broker::deliver_local(ClientId client, const Publication& pub,
     const double latency = now - tag->origin_time;
     if (delivery_latency_) delivery_latency_->observe(latency);
     if (delivery_latency_broker_) delivery_latency_broker_->observe(latency);
-    if (latency_sink_) latency_sink_(latency);
     if (tag->sampled) {
       TMPS_EVENT(tracer_, tag->trace, "pub:deliver",
                  {{"broker", std::to_string(id_)},

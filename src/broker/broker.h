@@ -4,7 +4,7 @@
 // content routing with optional covering. It is transport-agnostic: every
 // entry point returns the list of (neighbour, message) pairs to transmit, so
 // the same broker runs under the discrete-event simulator (benchmarks) and
-// the thread transport (live integration tests) unchanged.
+// the TCP transport (live integration tests) unchanged.
 //
 // Movement-protocol (control) messages are delegated to an injectable
 // ControlHandler — the mobility engine from src/core — which uses the
@@ -93,14 +93,6 @@ class Broker {
   /// provenance and the flight recorder timestamp through this; without it
   /// they record time 0.
   void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
-
-  /// Observes every provenance-derived end-to-end delivery latency, in
-  /// addition to the histograms. SimNetwork feeds Stats through this so the
-  /// bench summaries and the histograms see identical samples.
-  using DeliveryLatencySink = std::function<void(double)>;
-  void set_delivery_latency_sink(DeliveryLatencySink sink) {
-    latency_sink_ = std::move(sink);
-  }
 
   /// The last-N event ring (null when cfg.obs.flight_capacity == 0).
   obs::FlightRecorder* flight() { return flight_.get(); }
@@ -247,7 +239,6 @@ class Broker {
   obs::Histogram* delivery_latency_ = nullptr;
   obs::Histogram* delivery_latency_broker_ = nullptr;
   std::function<double()> clock_;
-  DeliveryLatencySink latency_sink_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::StageProfiler> prof_;
   std::uint64_t msg_seq_ = 0;

@@ -16,14 +16,6 @@ struct BrokerConfig {
   bool subscription_covering = true;
   /// Enable the advertisement-covering optimization.
   bool advertisement_covering = true;
-  /// Serve covering/intersection queries from the covering index
-  /// (routing/covering_index.h); false falls back to the full-table scan
-  /// oracles (reference semantics, for A/B measurement and debugging).
-  bool covering_index = true;
-  /// Serve publication matching (RoutingTables::match) from the counting
-  /// forwarding index (routing/forwarding_index.h); false falls back to the
-  /// full-PRT scan oracle.
-  bool forwarding_index = true;
 
   /// Per-broker HTTP admin endpoints (/healthz, /metrics, /routing). Off by
   /// default; hosts opt in. Loopback only.

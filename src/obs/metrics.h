@@ -8,8 +8,8 @@
 // log_buckets.h so p50/p95/p99 fall out of the bucket counts without storing
 // samples.
 //
-// Everything is safe for concurrent recording (tcp/inproc transports run one
-// thread per broker); `write_jsonl` takes a consistent-enough snapshot for
+// Everything is safe for concurrent recording (the TCP transport runs a
+// reader thread per link); `write_jsonl` takes a consistent-enough snapshot for
 // reporting (counters may be mid-burst, which is fine for monitoring data).
 #pragma once
 

@@ -92,7 +92,6 @@ void finalize_links(std::vector<Hop>& links) {
 
 MatchResult RoutingTables::match(const Publication& pub) const {
   TMPS_PROF_STAGE(prof_, obs::Stage::kMatch);
-  if (!use_forward_index_) return match_scan(pub);
   MatchResult r;
   r.version = version_;
   match_scratch_.clear();
@@ -116,7 +115,6 @@ MatchResult RoutingTables::match_scan(const Publication& pub) const {
 
 std::vector<const SubEntry*> RoutingTables::matching_subs(
     const Publication& pub) const {
-  if (!use_forward_index_) return matching_subs_scan(pub);
   std::vector<const SubEntry*> out;
   std::vector<SubscriptionId> cands;
   fwd_.candidates(pub, cands);
@@ -149,7 +147,6 @@ void sort_ids(std::vector<EntityId>& ids) { std::sort(ids.begin(), ids.end()); }
 std::vector<const AdvEntry*> RoutingTables::intersecting_advs(
     const Filter& sub) const {
   TMPS_PROF_STAGE(prof_, obs::Stage::kCoverProbe);
-  if (!use_cover_index_) return intersecting_advs_scan(sub);
   std::vector<EntityId> cands;
   adv_cover_.adv_intersect_candidates(sub, cands);
   sort_ids(cands);
@@ -176,7 +173,6 @@ std::vector<const AdvEntry*> RoutingTables::intersecting_advs_scan(
 std::vector<const SubEntry*> RoutingTables::subs_intersecting(
     const Filter& adv) const {
   TMPS_PROF_STAGE(prof_, obs::Stage::kCoverProbe);
-  if (!use_cover_index_) return subs_intersecting_scan(adv);
   std::vector<EntityId> cands;
   sub_cover_.sub_intersect_candidates(adv, cands);
   sort_ids(cands);
@@ -205,7 +201,6 @@ std::vector<const SubEntry*> RoutingTables::subs_intersecting_scan(
 bool RoutingTables::sub_covered_on_link(const SubscriptionId& self,
                                         const Filter& filter, Hop link) const {
   TMPS_PROF_STAGE(prof_, obs::Stage::kCoverProbe);
-  if (!use_cover_index_) return sub_covered_on_link_scan(self, filter, link);
   std::vector<EntityId> cands;
   sub_cover_.coverer_candidates(filter, cands);
   for (const auto& id : cands) {
@@ -233,9 +228,6 @@ bool RoutingTables::sub_covered_on_link_scan(const SubscriptionId& self,
 std::vector<SubEntry*> RoutingTables::strictly_covered_subs_on_link(
     const SubscriptionId& self, const Filter& filter, Hop link) {
   TMPS_PROF_STAGE(prof_, obs::Stage::kCoverProbe);
-  if (!use_cover_index_) {
-    return strictly_covered_subs_on_link_scan(self, filter, link);
-  }
   std::vector<EntityId> cands;
   sub_cover_.covered_candidates(filter, cands);
   sort_ids(cands);
@@ -266,7 +258,6 @@ std::vector<SubEntry*> RoutingTables::strictly_covered_subs_on_link_scan(
 
 std::vector<SubEntry*> RoutingTables::unquenched_subs_on_link(
     const SubEntry& removed, Hop link) {
-  if (!use_cover_index_) return unquenched_subs_on_link_scan(removed, link);
   std::vector<EntityId> cands;
   sub_cover_.covered_candidates(removed.sub.filter, cands);
   sort_ids(cands);
@@ -306,7 +297,6 @@ std::vector<SubEntry*> RoutingTables::unquenched_subs_on_link_scan(
 bool RoutingTables::adv_covered_on_link(const AdvertisementId& self,
                                         const Filter& filter, Hop link) const {
   TMPS_PROF_STAGE(prof_, obs::Stage::kCoverProbe);
-  if (!use_cover_index_) return adv_covered_on_link_scan(self, filter, link);
   std::vector<EntityId> cands;
   adv_cover_.coverer_candidates(filter, cands);
   for (const auto& id : cands) {
@@ -334,9 +324,6 @@ bool RoutingTables::adv_covered_on_link_scan(const AdvertisementId& self,
 std::vector<AdvEntry*> RoutingTables::strictly_covered_advs_on_link(
     const AdvertisementId& self, const Filter& filter, Hop link) {
   TMPS_PROF_STAGE(prof_, obs::Stage::kCoverProbe);
-  if (!use_cover_index_) {
-    return strictly_covered_advs_on_link_scan(self, filter, link);
-  }
   std::vector<EntityId> cands;
   adv_cover_.covered_candidates(filter, cands);
   sort_ids(cands);
@@ -367,7 +354,6 @@ std::vector<AdvEntry*> RoutingTables::strictly_covered_advs_on_link_scan(
 
 std::vector<AdvEntry*> RoutingTables::unquenched_advs_on_link(
     const AdvEntry& removed, Hop link) {
-  if (!use_cover_index_) return unquenched_advs_on_link_scan(removed, link);
   std::vector<EntityId> cands;
   adv_cover_.covered_candidates(removed.adv.filter, cands);
   sort_ids(cands);
@@ -402,7 +388,6 @@ std::vector<AdvEntry*> RoutingTables::unquenched_advs_on_link_scan(
 }
 
 bool RoutingTables::link_needed_for(const Filter& f, Hop link) const {
-  if (!use_cover_index_) return link_needed_for_scan(f, link);
   std::vector<EntityId> cands;
   adv_cover_.adv_intersect_candidates(f, cands);
   for (const auto& id : cands) {

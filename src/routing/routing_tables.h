@@ -165,7 +165,7 @@ class RoutingTables {
   MatchResult match(const Publication& pub) const;
 
   /// Reference implementation of match() (full PRT scan) — the executable
-  /// specification, used by tests, benchmarks and the A/B switch.
+  /// specification, used by tests and benchmarks.
   MatchResult match_scan(const Publication& pub) const;
 
   /// Entries whose filter matches the publication (primary view only).
@@ -234,17 +234,6 @@ class RoutingTables {
   /// subscriptions matching `f` must be forwarded over `link`.)
   bool link_needed_for(const Filter& f, Hop link) const;
   bool link_needed_for_scan(const Filter& f, Hop link) const;
-
-  /// A/B switch: false routes the non-`_scan` queries above through the
-  /// full-table scans instead of the covering index (benchmarks, debugging).
-  void set_use_cover_index(bool on) { use_cover_index_ = on; }
-  bool use_cover_index() const { return use_cover_index_; }
-
-  /// A/B switch for publication matching: false routes match() and
-  /// matching_subs through the full-PRT scans instead of the forwarding
-  /// index.
-  void set_use_forward_index(bool on) { use_forward_index_ = on; }
-  bool use_forward_index() const { return use_forward_index_; }
 
   /// Optional stage profiler (the owning broker's): publication matching
   /// records under Stage::kMatch, covering/intersection queries under
@@ -322,8 +311,6 @@ class RoutingTables {
   // forwarded_to mutation cannot desynchronize them.
   CoveringIndex sub_cover_;
   CoveringIndex adv_cover_;
-  bool use_cover_index_ = true;
-  bool use_forward_index_ = true;
   obs::StageProfiler* prof_ = nullptr;
   std::uint64_t version_ = 0;
   /// Candidate scratch reused across match() calls (single-threaded).

@@ -23,20 +23,14 @@ NetworkProfile NetworkProfile::planetlab() {
 SimNetwork::SimNetwork(const Overlay& overlay, BrokerConfig broker_cfg,
                        NetworkProfile profile)
     : overlay_(&overlay), profile_(profile), rng_(profile.seed) {
-  tracer_.set_clock([this] { return events_.now(); });
-  msgs_sent_ = &metrics_.counter("sim_messages_total");
-  msgs_dropped_ = &metrics_.counter("sim_messages_dropped_total");
-  link_wait_ = &metrics_.histogram("sim_link_wait_seconds");
-  broker_wait_ = &metrics_.histogram("sim_broker_wait_seconds");
+  msgs_sent_ = &metrics()->counter("sim_messages_total");
+  msgs_dropped_ = &metrics()->counter("sim_messages_dropped_total");
+  link_wait_ = &metrics()->histogram("sim_link_wait_seconds");
+  broker_wait_ = &metrics()->histogram("sim_broker_wait_seconds");
   brokers_.resize(overlay.broker_count() + 1);
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
     brokers_[b].broker = std::make_unique<Broker>(b, overlay_, broker_cfg);
-    brokers_[b].broker->set_observability(&tracer_, &metrics_);
-    brokers_[b].broker->set_clock([this] { return events_.now(); });
-    // Provenance latencies feed Stats from the same samples the histograms
-    // observe, so bench summaries and histogram percentiles agree.
-    brokers_[b].broker->set_delivery_latency_sink(
-        [this](double s) { stats_.record_delivery_latency(s); });
+    attach(*brokers_[b].broker);
   }
   // Pre-create directed link states; heterogeneous profiles draw a per-link
   // base delay once (log-normal around the configured mean) and use it for
@@ -59,24 +53,6 @@ Broker& SimNetwork::broker(BrokerId id) {
 
 void SimNetwork::schedule(double delay, std::function<void()> fn) {
   events_.schedule_in(delay, std::move(fn));
-}
-
-void SimNetwork::movement_finished(MovementRecord rec) {
-  stats_.record_movement(std::move(rec));
-}
-
-void SimNetwork::on_cause_drained(TxnId cause, std::function<void()> fn) {
-  auto it = outstanding_.find(cause);
-  if (it == outstanding_.end() || it->second == 0) {
-    fn();
-    return;
-  }
-  drain_watchers_[cause].push_back(std::move(fn));
-}
-
-std::uint64_t SimNetwork::outstanding(TxnId cause) const {
-  auto it = outstanding_.find(cause);
-  return it == outstanding_.end() ? 0 : it->second;
 }
 
 SimNetwork::LinkState& SimNetwork::link(BrokerId from, BrokerId to) {
@@ -120,8 +96,7 @@ void SimNetwork::send_one(BrokerId from, BrokerId to, Message msg) {
     // retransmission and may arrive after (and reordered with) traffic
     // sent much later.
     Message copy = msg;
-    stats_.count_message(from, to, copy.type_name(), copy.cause);
-    if (copy.cause != kNoTxn) ++outstanding_[copy.cause];
+    count_send(from, to, copy);
     msgs_sent_->inc();
     const double at = events_.now() + profile_.link_service +
                       link(from, to).base_delay + fault.duplicate_delay;
@@ -130,14 +105,13 @@ void SimNetwork::send_one(BrokerId from, BrokerId to, Message msg) {
     });
   }
 
-  stats_.count_message(from, to, msg.type_name(), msg.cause);
+  count_send(from, to, msg);
   if (fault.drop) {
-    // A genuine loss: never arrives, and its cause tag is not incremented
-    // so causal drains above still terminate.
+    // A genuine loss: it never arrives, so it leaves the ledger at once.
+    retire(msg.cause);
     msgs_dropped_->inc();
     return;
   }
-  if (msg.cause != kNoTxn) ++outstanding_[msg.cause];
   msgs_sent_->inc();
 
   LinkState& l = link(from, to);
@@ -176,7 +150,7 @@ void SimNetwork::arrive(BrokerId from, BrokerId to, Message msg) {
   } else if (!msg.is_control()) {
     proc = profile_.sub_proc;
   }
-  stats_.count_broker_message(to, is_pub);
+  stats().count_broker_message(to, is_pub);
   if (profile_.proc_per_entry > 0 && !msg.is_control()) {
     const auto entries = b.broker->tables().sub_count() +
                          b.broker->tables().adv_count();
@@ -195,19 +169,7 @@ void SimNetwork::process(BrokerId from, BrokerId to, Message msg) {
   // Children are counted before this message is retired so a causal chain
   // only reads as drained when it truly is.
   transmit(to, std::move(outputs));
-  if (msg.cause != kNoTxn) {
-    auto it = outstanding_.find(msg.cause);
-    assert(it != outstanding_.end() && it->second > 0);
-    if (--it->second == 0) {
-      auto w = drain_watchers_.find(msg.cause);
-      if (w != drain_watchers_.end()) {
-        auto fns = std::move(w->second);
-        drain_watchers_.erase(w);
-        for (auto& fn : fns) fn();
-      }
-      outstanding_.erase(it);
-    }
-  }
+  retire(msg.cause);
 }
 
 double SimNetwork::broker_busy_seconds(BrokerId b) const {

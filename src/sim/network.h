@@ -15,10 +15,8 @@
 #include <vector>
 
 #include "broker/broker.h"
-#include "obs/timeseries.h"
 #include "sim/event_queue.h"
-#include "sim/runtime_env.h"
-#include "sim/stats.h"
+#include "sim/host_core.h"
 
 namespace tmps {
 
@@ -63,7 +61,7 @@ struct NetworkProfile {
 /// deliver normally.
 struct FaultAction {
   /// The message never arrives (a genuine loss — unlike pause_*, which only
-  /// delays). Its cause tag is NOT incremented, so causal drains still
+  /// delays). It is retired as soon as it is counted, so causal drains still
   /// terminate; the protocol above must cope or time out.
   bool drop = false;
   /// A second copy arrives after `duplicate_delay` extra seconds, bypassing
@@ -75,7 +73,7 @@ struct FaultAction {
   double extra_delay = 0;
 };
 
-class SimNetwork final : public RuntimeEnv {
+class SimNetwork final : public HostCore {
  public:
   SimNetwork(const Overlay& overlay, BrokerConfig broker_cfg = {},
              NetworkProfile profile = NetworkProfile::lan());
@@ -87,21 +85,12 @@ class SimNetwork final : public RuntimeEnv {
   const Overlay& overlay() const { return *overlay_; }
   Broker& broker(BrokerId id);
   EventQueue& events() { return events_; }
-  Stats& stats() { return stats_; }
   std::mt19937_64& rng() { return rng_; }
 
-  /// Windowed time-series over this run's metrics registry. The scenario
-  /// driver schedules the ticks (cfg.obs.timeseries_interval) and writes the
-  /// NDJSON sink after the run.
-  obs::TimeSeriesRing& timeseries() { return timeseries_; }
-
-  // --- RuntimeEnv ---
+  // --- RuntimeEnv (the rest is HostCore's; Scenario ticks timeseries()
+  // every cfg.obs.timeseries_interval) ---
   SimTime now() const override { return events_.now(); }
   void schedule(double delay, std::function<void()> fn) override;
-  void movement_finished(MovementRecord rec) override;
-  void on_cause_drained(TxnId cause, std::function<void()> fn) override;
-  obs::Tracer* tracer() override { return &tracer_; }
-  obs::MetricsRegistry* metrics() override { return &metrics_; }
 
   /// Hands a broker's outputs to the network at the current time.
   void transmit(BrokerId from, Broker::Outputs outputs);
@@ -125,16 +114,6 @@ class SimNetwork final : public RuntimeEnv {
 
   void run() { events_.run(); }
   void run_until(SimTime t) { events_.run_until(t); }
-
-  /// Messages still in flight for a cause tag (test visibility).
-  std::uint64_t outstanding(TxnId cause) const;
-
-  /// All causes with messages still in flight (entries are erased when a
-  /// cause drains, so leftovers are genuinely outstanding). The auditor's
-  /// quiescence check reads this after the run.
-  const std::map<TxnId, std::uint64_t>& outstanding_causes() const {
-    return outstanding_;
-  }
 
   void snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
                         bool final_snapshot = false) override;
@@ -170,12 +149,6 @@ class SimNetwork final : public RuntimeEnv {
   const Overlay* overlay_;
   NetworkProfile profile_;
   EventQueue events_;
-  Stats stats_;
-  // Observability lives above brokers_ so instrumented brokers never
-  // outlive the registry/tracer they cache handles into.
-  obs::Tracer tracer_;
-  obs::MetricsRegistry metrics_;
-  obs::TimeSeriesRing timeseries_{&metrics_};
   obs::Counter* msgs_sent_ = nullptr;
   obs::Counter* msgs_dropped_ = nullptr;
   obs::Histogram* link_wait_ = nullptr;
@@ -184,8 +157,6 @@ class SimNetwork final : public RuntimeEnv {
   std::mt19937_64 rng_;
   std::vector<BrokerState> brokers_;  // index by BrokerId (1-based)
   std::map<std::pair<BrokerId, BrokerId>, LinkState> links_;
-  std::map<TxnId, std::uint64_t> outstanding_;
-  std::map<TxnId, std::vector<std::function<void()>>> drain_watchers_;
 };
 
 }  // namespace tmps

@@ -1,7 +1,8 @@
 // Runtime services the mobility protocols need from their host — a clock,
 // timers, movement metrics, and causal-drain notification. Implemented by
-// the discrete-event SimNetwork (benchmarks) and the thread transport
-// (live runs), keeping the protocol code host-agnostic.
+// the discrete-event SimNetwork (benchmarks) and the TCP transport (live
+// runs), both through HostCore (sim/host_core.h), keeping the protocol code
+// host-agnostic.
 #pragma once
 
 #include <functional>

@@ -38,7 +38,9 @@ void Stats::count_message(BrokerId from, BrokerId to, std::string_view type,
                           TxnId cause) {
   ++total_messages_;
   ++link_counts_[{from, to}];
-  ++type_counts_[std::string(type)];
+  auto t = type_counts_.find(type);
+  if (t == type_counts_.end()) t = type_counts_.emplace(type, 0).first;
+  ++t->second;
   if (cause != kNoTxn) {
     ++cause_counts_[cause];
     // Keep the movement record's attribution live: covering cascades (and

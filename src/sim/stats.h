@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -92,9 +93,6 @@ class Stats {
       const {
     return link_counts_;
   }
-  const std::map<std::string, std::uint64_t>& type_counts() const {
-    return type_counts_;
-  }
 
   /// Forgets traffic accounted so far (used to exclude the setup phase, as
   /// the paper does: "we ignore this setup phase in subsequent results").
@@ -122,18 +120,6 @@ class Stats {
   void count_delivery(BrokerId b, ClientId client);
   std::uint64_t deliveries() const { return deliveries_; }
 
-  // --- end-to-end delivery latency (publication provenance) ---
-
-  /// One provenance-derived end-to-end delivery latency (publish at the
-  /// origin broker to delivery at the edge broker). Fed by SimNetwork's
-  /// per-broker latency sink from the same samples the provenance
-  /// histograms observe, so the two summaries agree within bucket
-  /// quantization.
-  void record_delivery_latency(double seconds) {
-    delivery_latency_.add(seconds);
-  }
-  const Summary& delivery_latency_summary() const { return delivery_latency_; }
-
   const std::map<BrokerId, std::uint64_t>& broker_messages() const {
     return broker_msgs_;
   }
@@ -155,14 +141,13 @@ class Stats {
   std::map<BrokerId, std::uint64_t> broker_pubs_;
   std::map<BrokerId, std::uint64_t> broker_deliveries_;
   std::map<std::pair<BrokerId, BrokerId>, std::uint64_t> link_counts_;
-  std::map<std::string, std::uint64_t> type_counts_;
-  std::map<TxnId, std::uint64_t> cause_counts_;
-  Summary delivery_latency_;
+  std::map<std::string, std::uint64_t, std::less<>> type_counts_;
+  std::unordered_map<TxnId, std::uint64_t> cause_counts_;
   std::vector<MovementRecord> movements_;
   /// txn -> index into movements_, so messages attributed to a movement
   /// *after* its record was captured (covering-induced (un)subscriptions
   /// still cascading at brokers off the movement path) reach the record.
-  std::map<TxnId, std::size_t> movement_index_;
+  std::unordered_map<TxnId, std::size_t> movement_index_;
 };
 
 }  // namespace tmps

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "pubsub/codec.h"
 
@@ -56,26 +57,22 @@ TcpTransport::TcpTransport(const Overlay& overlay, std::uint16_t base_port,
       base_port_(base_port),
       admin_cfg_(broker_cfg.admin),
       obs_cfg_(broker_cfg.obs) {
-  tracer_.set_clock([this] { return now(); });
-  frames_sent_ = &metrics_.counter("tcp_frames_sent_total");
-  bytes_sent_ = &metrics_.counter("tcp_bytes_sent_total");
-  frames_received_ = &metrics_.counter("tcp_frames_received_total");
-  decode_failures_metric_ = &metrics_.counter("tcp_decode_failures_total");
-  send_failures_ = &metrics_.counter("tcp_send_failures_total");
+  frames_sent_ = &metrics()->counter("tcp_frames_sent_total");
+  bytes_sent_ = &metrics()->counter("tcp_bytes_sent_total");
+  frames_received_ = &metrics()->counter("tcp_frames_received_total");
+  decode_failures_metric_ = &metrics()->counter("tcp_decode_failures_total");
+  send_failures_ = &metrics()->counter("tcp_send_failures_total");
   nodes_.resize(overlay.broker_count() + 1);
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
     auto node = std::make_unique<Node>();
     node->broker = std::make_unique<Broker>(b, overlay_, broker_cfg);
-    node->broker->set_observability(&tracer_, &metrics_);
-    node->broker->set_clock([this] { return now(); });
-    node->broker->set_delivery_latency_sink([this](double s) {
-      std::lock_guard lock(stats_mu_);
-      stats_.record_delivery_latency(s);
-    });
+    attach(*node->broker);
     node->engine =
         std::make_unique<MobilityEngine>(*node->broker, *this, mobility_cfg);
+    for (const BrokerId peer : overlay.neighbors(b)) node->outbox[peer];
     node->engine->set_transmit([this, b](Broker::Outputs out) {
-      dispatch_outputs(b, std::move(out));
+      enqueue(b, std::move(out));
+      flush(b);
     });
     nodes_[b] = std::move(node);
   }
@@ -151,7 +148,7 @@ bool TcpTransport::start() {
 
   timer_thread_ = std::thread([this] { timer_loop(); });
   if (obs_cfg_.timeseries_interval > 0) {
-    timeseries_.tick(now());  // baseline window
+    timeseries().tick(now());  // baseline window
     schedule(obs_cfg_.timeseries_interval, [this] { timeseries_tick(); });
   }
   return true;
@@ -160,7 +157,7 @@ bool TcpTransport::start() {
 void TcpTransport::flush_profilers() {
   for (BrokerId b = 1; b < nodes_.size(); ++b) {
     if (obs::StageProfiler* prof = nodes_[b]->broker->profiler()) {
-      prof->flush(&metrics_);
+      prof->flush(metrics());
     }
   }
 }
@@ -168,7 +165,7 @@ void TcpTransport::flush_profilers() {
 void TcpTransport::timeseries_tick() {
   if (!running_.load()) return;
   flush_profilers();  // stage histograms land in the same windows
-  timeseries_.tick(now());
+  timeseries().tick(now());
   schedule(obs_cfg_.timeseries_interval, [this] { timeseries_tick(); });
 }
 
@@ -211,13 +208,13 @@ bool TcpTransport::start_admin() {
     node.admin->add_route("/metrics", [this]() -> HttpResponse {
       flush_profilers();
       std::ostringstream os;
-      metrics_.write_prometheus(os);
+      metrics()->write_prometheus(os);
       return {200, "text/plain; version=0.0.4; charset=utf-8", os.str()};
     });
     node.admin->add_route("/profile", [this, &node]() -> HttpResponse {
       obs::StageProfiler* prof = node.broker->profiler();
       if (!prof) return {404, "text/plain", "profiler disabled\n"};
-      prof->flush(&metrics_);
+      prof->flush(metrics());
       std::ostringstream os;
       prof->write_ndjson(os);
       return {200, "application/x-ndjson", os.str()};
@@ -226,7 +223,7 @@ bool TcpTransport::start_admin() {
                           [this, &node]() -> HttpResponse {
       obs::StageProfiler* prof = node.broker->profiler();
       if (!prof) return {404, "text/plain", "profiler disabled\n"};
-      prof->flush(&metrics_);
+      prof->flush(metrics());
       std::ostringstream os;
       prof->write_collapsed(os);
       return {200, "text/plain", os.str()};
@@ -243,7 +240,7 @@ bool TcpTransport::start_admin() {
     });
     node.admin->add_route("/timeseries", [this]() -> HttpResponse {
       std::ostringstream os;
-      timeseries_.write_ndjson(os);
+      timeseries().write_ndjson(os);
       return {200, "application/x-ndjson", os.str()};
     });
     for (const auto& [rb, path, handler] : extra_admin_routes_) {
@@ -354,12 +351,11 @@ void TcpTransport::client_reader_loop(BrokerId self, ClientId client, int fd) {
     } else {
       // No session layer attached: feed it to the broker like a local frame.
       Node& node = *nodes_[self];
-      Broker::Outputs outputs;
       {
         std::lock_guard lock(node.state_mu);
-        outputs = node.broker->on_message(self, *msg);
+        enqueue(self, node.broker->on_message(self, *msg));
       }
-      dispatch_outputs(self, std::move(outputs));
+      flush(self);
     }
   }
   // Connection gone: deregister (unless a reconnect already replaced the fd)
@@ -434,7 +430,7 @@ void TcpTransport::reader_loop(BrokerId self, BrokerId peer, int fd) {
     if (from != peer || !msg) {
       ++decode_failures_;
       decode_failures_metric_->inc();
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
+      retire(kNoTxn);  // its cause, if any, is unknowable now
       continue;
     }
     frames_received_->inc();
@@ -445,101 +441,91 @@ void TcpTransport::reader_loop(BrokerId self, BrokerId peer, int fd) {
 void TcpTransport::process_frame(BrokerId self, BrokerId from,
                                  const Message& msg) {
   Node& node = *nodes_[self];
-  Broker::Outputs outputs;
   {
     std::lock_guard lock(node.state_mu);
-    outputs = node.broker->on_message(from, msg);
+    enqueue(self, node.broker->on_message(from, msg));
   }
-  dispatch_outputs(self, std::move(outputs));
-  if (msg.cause != kNoTxn) retire_cause(msg.cause);
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  flush(self);
+  retire(msg.cause);
 }
 
-void TcpTransport::send_frame(BrokerId from, BrokerId to, const Message& msg) {
-  {
-    std::lock_guard lock(stats_mu_);
-    stats_.count_message(from, to, msg.type_name(), msg.cause);
-  }
-  if (msg.cause != kNoTxn) {
-    std::lock_guard lock(cause_mu_);
-    ++outstanding_[msg.cause];
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-
-  obs::StageProfiler* prof = nodes_[from]->broker->profiler();
-  std::string frame;
-  {
-    TMPS_PROF_STAGE(prof, obs::Stage::kEncode);
-    const std::string body = encode_message(msg);
-    const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 4;
-    frame.reserve(4 + len);
-    frame.append(reinterpret_cast<const char*>(&len), 4);
-    const std::uint32_t from32 = from;
-    frame.append(reinterpret_cast<const char*>(&from32), 4);
-    frame.append(body);
-  }
-
-  TMPS_PROF_STAGE(prof, obs::Stage::kEnqueue);
+void TcpTransport::enqueue(BrokerId from, Broker::Outputs outputs) {
   Node& node = *nodes_[from];
-  std::lock_guard lock(node.peers_mu);
-  auto it = node.peer_fd.find(to);
-  if (it == node.peer_fd.end() ||
-      !write_full(it->second, frame.data(), frame.size())) {
-    // Link gone: the message is lost at this layer (the paper's fault model
-    // masks this with persistent queues; see DurableNode).
-    send_failures_->inc();
-    if (msg.cause != kNoTxn) retire_cause(msg.cause);
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return;
+  for (auto& [to, msg] : outputs) {
+    count_send(from, to, msg);
+    Outbox& box = node.outbox.at(to);
+    std::lock_guard lock(box.mu);
+    box.queue.push_back(std::move(msg));
   }
-  frames_sent_->inc();
-  bytes_sent_->inc(frame.size());
 }
 
-void TcpTransport::dispatch_outputs(BrokerId from, Broker::Outputs outputs) {
-  for (auto& [to, msg] : outputs) send_frame(from, to, msg);
+void TcpTransport::flush(BrokerId from) {
+  Node& node = *nodes_[from];
+  obs::StageProfiler* prof = node.broker->profiler();
+  for (auto& [to, box] : node.outbox) {
+    std::unique_lock lock(box.mu);
+    // A thread already writing this link drains what was queued behind it.
+    if (box.writing) continue;
+    box.writing = true;
+    while (!box.queue.empty()) {
+      const std::vector<Message> batch = std::exchange(box.queue, {});
+      lock.unlock();
+      std::string frames;
+      for (const Message& msg : batch) {
+        TMPS_PROF_STAGE(prof, obs::Stage::kEncode);
+        const std::string body = encode_message(msg);
+        const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 4;
+        const std::uint32_t from32 = from;
+        frames.append(reinterpret_cast<const char*>(&len), 4);
+        frames.append(reinterpret_cast<const char*>(&from32), 4);
+        frames.append(body);
+      }
+      bool ok = false;
+      {
+        TMPS_PROF_STAGE(prof, obs::Stage::kEnqueue);
+        std::lock_guard peers(node.peers_mu);
+        auto it = node.peer_fd.find(to);
+        ok = it != node.peer_fd.end() &&
+             write_full(it->second, frames.data(), frames.size());
+      }
+      if (ok) {
+        frames_sent_->inc(batch.size());
+        bytes_sent_->inc(frames.size());
+      } else {
+        // Link gone: the messages are lost at this layer (the paper's fault
+        // model masks this with persistent queues; see DurableNode).
+        send_failures_->inc(batch.size());
+        for (const Message& msg : batch) retire(msg.cause);
+      }
+      lock.lock();
+    }
+    box.writing = false;
+  }
 }
 
 void TcpTransport::run_on(
     BrokerId b,
     const std::function<void(MobilityEngine&, Broker::Outputs&)>& op) {
   Node& node = *nodes_[b];
-  Broker::Outputs out;
   {
     std::lock_guard lock(node.state_mu);
+    Broker::Outputs out;
     op(*node.engine, out);
+    enqueue(b, std::move(out));
   }
-  dispatch_outputs(b, std::move(out));
+  flush(b);
 }
 
 void TcpTransport::drain() {
   int idle = 0;
   while (idle < 5) {
-    if (in_flight_.load(std::memory_order_relaxed) == 0) {
+    if (in_flight() == 0) {
       ++idle;
     } else {
       idle = 0;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-}
-
-void TcpTransport::retire_cause(TxnId cause) {
-  std::vector<std::function<void()>> fire;
-  {
-    std::lock_guard lock(cause_mu_);
-    auto it = outstanding_.find(cause);
-    if (it == outstanding_.end() || it->second == 0) return;
-    if (--it->second == 0) {
-      outstanding_.erase(it);
-      auto w = drain_watchers_.find(cause);
-      if (w != drain_watchers_.end()) {
-        fire = std::move(w->second);
-        drain_watchers_.erase(w);
-      }
-    }
-  }
-  for (auto& fn : fire) fn();
 }
 
 void TcpTransport::schedule(double delay, std::function<void()> fn) {
@@ -551,23 +537,6 @@ void TcpTransport::schedule(double delay, std::function<void()> fn) {
             std::move(fn)});
   std::push_heap(timers_.begin(), timers_.end());
   timer_cv_.notify_all();
-}
-
-void TcpTransport::movement_finished(MovementRecord rec) {
-  std::lock_guard lock(stats_mu_);
-  stats_.record_movement(std::move(rec));
-}
-
-void TcpTransport::on_cause_drained(TxnId cause, std::function<void()> fn) {
-  {
-    std::lock_guard lock(cause_mu_);
-    auto it = outstanding_.find(cause);
-    if (it != outstanding_.end() && it->second > 0) {
-      drain_watchers_[cause].push_back(std::move(fn));
-      return;
-    }
-  }
-  fn();
 }
 
 void TcpTransport::timer_loop() {
@@ -595,11 +564,11 @@ void TcpTransport::dump_observability(const std::string& trace_path,
                                       std::string_view run) {
   if (!trace_path.empty()) {
     std::ofstream os(trace_path, std::ios::app);
-    if (os) tracer_.write_jsonl(os, run);
+    if (os) tracer()->write_jsonl(os, run);
   }
   if (!metrics_path.empty()) {
     std::ofstream os(metrics_path, std::ios::app);
-    if (os) metrics_.write_jsonl(os, run);
+    if (os) metrics()->write_jsonl(os, run);
   }
 }
 

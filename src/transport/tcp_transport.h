@@ -29,13 +29,12 @@
 #include <vector>
 
 #include "core/mobility_engine.h"
-#include "obs/timeseries.h"
-#include "sim/runtime_env.h"
+#include "sim/host_core.h"
 #include "transport/http_admin.h"
 
 namespace tmps {
 
-class TcpTransport final : public RuntimeEnv {
+class TcpTransport final : public HostCore {
  public:
   /// Hello sentinel an edge client sends instead of a broker id (broker ids
   /// are small; this can never collide).
@@ -63,15 +62,15 @@ class TcpTransport final : public RuntimeEnv {
   /// not yet started).
   std::uint16_t admin_port_of(BrokerId b) const;
 
-  /// Runs a client operation on broker `b` under its lock and transmits the
-  /// resulting messages over the sockets.
+  /// Runs a client operation on broker `b` under its lock, queues the
+  /// resulting messages on their links before releasing it, and then
+  /// writes them to the sockets.
   void run_on(BrokerId b,
               const std::function<void(MobilityEngine&, Broker::Outputs&)>& op);
 
   /// Blocks until no frame is in flight and brokers have been idle briefly.
   void drain();
 
-  Stats& stats() { return stats_; }
   /// Frames that arrived but failed to decode (corruption canary).
   std::uint64_t decode_failures() const { return decode_failures_.load(); }
 
@@ -101,28 +100,30 @@ class TcpTransport final : public RuntimeEnv {
   void add_admin_route(BrokerId b, std::string path,
                        std::function<HttpResponse()> handler);
 
-  /// Windowed time-series over the shared metrics registry. Ticked on the
-  /// timer thread every broker_cfg.obs.timeseries_interval seconds (when
-  /// positive) and served as NDJSON at GET /timeseries.
-  obs::TimeSeriesRing& timeseries() { return timeseries_; }
-
   /// Flushes buffered trace records and a metrics snapshot to JSONL files
   /// (appending). Either path may be empty to skip that sink.
   void dump_observability(const std::string& trace_path,
                           const std::string& metrics_path,
                           std::string_view run = {});
 
-  // --- RuntimeEnv -----------------------------------------------------------
+  // --- RuntimeEnv (the rest is HostCore's; timeseries() is ticked on the
+  // timer thread every broker_cfg.obs.timeseries_interval seconds when
+  // positive, and served at GET /timeseries) -------------------------------
   SimTime now() const override;
   void schedule(double delay, std::function<void()> fn) override;
-  void movement_finished(MovementRecord rec) override;
-  void on_cause_drained(TxnId cause, std::function<void()> fn) override;
-  obs::Tracer* tracer() override { return &tracer_; }
-  obs::MetricsRegistry* metrics() override { return &metrics_; }
   void snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
                         bool final_snapshot = false) override;
 
  private:
+  // Messages on their way to one neighbour. A broker's outputs are queued
+  // here under its state lock, in the order it produced them, and written
+  // after the lock is released by one thread at a time. Links therefore
+  // stay FIFO, and no thread waits on a socket while it holds a broker.
+  struct Outbox {
+    std::mutex mu;
+    std::vector<Message> queue;
+    bool writing = false;  // a thread is draining this outbox
+  };
   struct Node {
     std::unique_ptr<Broker> broker;
     std::unique_ptr<MobilityEngine> engine;
@@ -134,6 +135,8 @@ class TcpTransport final : public RuntimeEnv {
     // Established links to neighbours: fd per peer, guarded for writes.
     std::mutex peers_mu;
     std::map<BrokerId, int> peer_fd;
+    // One per neighbour, built with the node: the map itself never changes.
+    std::map<BrokerId, Outbox> outbox;
     std::vector<std::thread> readers;
     // Edge-client connections (kClientHello): fd per client id.
     std::mutex clients_mu;
@@ -153,20 +156,19 @@ class TcpTransport final : public RuntimeEnv {
   void accept_loop(BrokerId b);
   void reader_loop(BrokerId self, BrokerId peer, int fd);
   void client_reader_loop(BrokerId self, ClientId client, int fd);
-  void send_frame(BrokerId from, BrokerId to, const Message& msg);
-  void dispatch_outputs(BrokerId from, Broker::Outputs outputs);
+  /// Counts and queues `outputs` on `from`'s outboxes. Callers hold `from`'s
+  /// state lock (or run outside any broker, as timers do).
+  void enqueue(BrokerId from, Broker::Outputs outputs);
+  /// Encodes and writes out `from`'s queued messages, except on links
+  /// another thread is already writing.
+  void flush(BrokerId from);
   void process_frame(BrokerId self, BrokerId from, const Message& msg);
-  void retire_cause(TxnId cause);
   void timer_loop();
 
   const Overlay* overlay_;
   std::uint16_t base_port_;
   BrokerConfig::Admin admin_cfg_;
   BrokerConfig::Obs obs_cfg_;
-  // Declared before nodes_: brokers/engines cache handles into these.
-  obs::Tracer tracer_;
-  obs::MetricsRegistry metrics_;
-  obs::TimeSeriesRing timeseries_{&metrics_};
   obs::Counter* frames_sent_ = nullptr;
   obs::Counter* bytes_sent_ = nullptr;
   obs::Counter* frames_received_ = nullptr;
@@ -178,16 +180,8 @@ class TcpTransport final : public RuntimeEnv {
   std::vector<std::tuple<BrokerId, std::string, std::function<HttpResponse()>>>
       extra_admin_routes_;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> in_flight_{0};
   std::atomic<std::uint64_t> decode_failures_{0};
   std::chrono::steady_clock::time_point epoch_;
-
-  std::mutex stats_mu_;
-  Stats stats_;
-
-  std::mutex cause_mu_;
-  std::map<TxnId, std::uint64_t> outstanding_;
-  std::map<TxnId, std::vector<std::function<void()>>> drain_watchers_;
 
   std::mutex timer_mu_;
   std::condition_variable timer_cv_;

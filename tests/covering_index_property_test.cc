@@ -50,7 +50,6 @@ std::vector<EntityId> ids_of(const std::vector<const AdvEntry*>& es) {
 /// Index answers must equal the scan oracles exactly for every entry and
 /// every probed link.
 void expect_index_matches_scans(RoutingTables& rt) {
-  ASSERT_TRUE(rt.use_cover_index());
   const std::vector<Hop> links = {Hop::of_broker(1), Hop::of_broker(2),
                                   Hop::of_broker(3), Hop::of_broker(9),
                                   Hop::of_client(1), Hop::of_client(2)};
@@ -248,8 +247,7 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
   expect_index_matches_scans(rt);
 }
 
-// End-to-end: a small mobility scenario with the index enabled leaves every
-// broker's covering index structurally consistent, and index answers still
+// End-to-end: a small mobility scenario leaves every broker's covering index structurally consistent, and index answers still
 // equal the scan oracles on the final tables.
 TEST(CoverIndexScenarioTest, BrokersStayConsistentThroughMovements) {
   ScenarioConfig cfg;
@@ -259,7 +257,6 @@ TEST(CoverIndexScenarioTest, BrokersStayConsistentThroughMovements) {
   cfg.duration = 80.0;
   cfg.warmup = 20.0;
   cfg.seed = 11;
-  ASSERT_TRUE(cfg.broker.covering_index);  // default-on
   Scenario s(cfg);
   s.run();
   for (BrokerId b = 1; b <= cfg.overlay->broker_count(); ++b) {

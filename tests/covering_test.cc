@@ -12,11 +12,37 @@ Subscription sub(std::uint32_t seq, std::int64_t lo, std::int64_t hi) {
                          .attr("x").ge(lo).le(hi)};
 }
 
-/// Parameterized over the decision backend: true = covering index,
-/// false = full-table scan oracles. Both must agree on every answer.
+/// The direct covering queries, parameterized over the backend: true = the
+/// covering index, false = the full-table scan oracles. Both must agree on
+/// every answer.
 class CoveringDecisionTest : public ::testing::TestWithParam<bool> {
  protected:
-  CoveringDecisionTest() { rt_.set_use_cover_index(GetParam()); }
+  bool sub_covered(const SubscriptionId& self, const Filter& f, Hop link) {
+    return GetParam() ? rt_.sub_covered_on_link(self, f, link)
+                      : rt_.sub_covered_on_link_scan(self, f, link);
+  }
+  std::vector<SubEntry*> strictly_covered_subs(const SubscriptionId& self,
+                                               const Filter& f, Hop link) {
+    return GetParam() ? rt_.strictly_covered_subs_on_link(self, f, link)
+                      : rt_.strictly_covered_subs_on_link_scan(self, f, link);
+  }
+  std::vector<SubEntry*> unquenched_subs(const SubEntry& removed, Hop link) {
+    return GetParam() ? rt_.unquenched_subs_on_link(removed, link)
+                      : rt_.unquenched_subs_on_link_scan(removed, link);
+  }
+  bool adv_covered(const AdvertisementId& self, const Filter& f, Hop link) {
+    return GetParam() ? rt_.adv_covered_on_link(self, f, link)
+                      : rt_.adv_covered_on_link_scan(self, f, link);
+  }
+  std::vector<AdvEntry*> strictly_covered_advs(const AdvertisementId& self,
+                                               const Filter& f, Hop link) {
+    return GetParam() ? rt_.strictly_covered_advs_on_link(self, f, link)
+                      : rt_.strictly_covered_advs_on_link_scan(self, f, link);
+  }
+  std::vector<AdvEntry*> unquenched_advs(const AdvEntry& removed, Hop link) {
+    return GetParam() ? rt_.unquenched_advs_on_link(removed, link)
+                      : rt_.unquenched_advs_on_link_scan(removed, link);
+  }
 
   RoutingTables rt_;
   const Hop link_ = Hop::of_broker(7);
@@ -31,21 +57,21 @@ INSTANTIATE_TEST_SUITE_P(IndexAndScan, CoveringDecisionTest,
 TEST_P(CoveringDecisionTest, CoveredByForwardedEntry) {
   auto& wide = rt_.upsert_sub(sub(1, 0, 100), Hop::of_client(1));
   wide.forwarded_to.insert(link_);
-  EXPECT_TRUE(rt_.sub_covered_on_link({10, 2}, sub(2, 10, 20).filter, link_));
+  EXPECT_TRUE(sub_covered({10, 2}, sub(2, 10, 20).filter, link_));
   // Not covered on a different link.
-  EXPECT_FALSE(rt_.sub_covered_on_link({10, 2}, sub(2, 10, 20).filter,
+  EXPECT_FALSE(sub_covered({10, 2}, sub(2, 10, 20).filter,
                                        Hop::of_broker(8)));
 }
 
 TEST_P(CoveringDecisionTest, NotCoveredByUnforwardedEntry) {
   rt_.upsert_sub(sub(1, 0, 100), Hop::of_client(1));  // present, not forwarded
-  EXPECT_FALSE(rt_.sub_covered_on_link({10, 2}, sub(2, 10, 20).filter, link_));
+  EXPECT_FALSE(sub_covered({10, 2}, sub(2, 10, 20).filter, link_));
 }
 
 TEST_P(CoveringDecisionTest, SelfDoesNotCoverItself) {
   auto& e = rt_.upsert_sub(sub(1, 0, 100), Hop::of_client(1));
   e.forwarded_to.insert(link_);
-  EXPECT_FALSE(rt_.sub_covered_on_link({10, 1}, e.sub.filter, link_));
+  EXPECT_FALSE(sub_covered({10, 1}, e.sub.filter, link_));
 }
 
 TEST_P(CoveringDecisionTest, StrictlyCoveredExcludesEqualFilters) {
@@ -55,7 +81,7 @@ TEST_P(CoveringDecisionTest, StrictlyCoveredExcludesEqualFilters) {
   narrow.forwarded_to.insert(link_);
 
   const auto victims =
-      rt_.strictly_covered_subs_on_link({10, 3}, sub(3, 0, 100).filter, link_);
+      strictly_covered_subs({10, 3}, sub(3, 0, 100).filter, link_);
   // Only the strictly narrower subscription is retracted; the equal one is
   // kept (mutual covering never retracts).
   ASSERT_EQ(victims.size(), 1u);
@@ -70,7 +96,7 @@ TEST_P(CoveringDecisionTest, UnquenchFindsOrphanedSubs) {
   rt_.upsert_sub(sub(2, 10, 20), Hop::of_client(2));  // quenched by root
 
   root.forwarded_to.clear();  // simulate removal in progress
-  const auto orphans = rt_.unquenched_subs_on_link(*rt_.find_sub({10, 1}),
+  const auto orphans = unquenched_subs(*rt_.find_sub({10, 1}),
                                                    link_);
   ASSERT_EQ(orphans.size(), 1u);
   EXPECT_EQ(orphans[0]->sub.id, (SubscriptionId{10, 2}));
@@ -85,7 +111,7 @@ TEST_P(CoveringDecisionTest, UnquenchSkipsSubsWithRemainingCoverer) {
   rt_.upsert_sub(sub(3, 10, 20), Hop::of_client(3));  // covered by both
 
   root.forwarded_to.clear();
-  const auto orphans = rt_.unquenched_subs_on_link(root, link_);
+  const auto orphans = unquenched_subs(root, link_);
   // sub 3 is still covered by mid; sub 2 is already forwarded.
   EXPECT_TRUE(orphans.empty());
 }
@@ -96,7 +122,7 @@ TEST_P(CoveringDecisionTest, UnquenchSkipsSubsNotNeedingLink) {
   root.forwarded_to.insert(link_);
   rt_.upsert_sub(sub(2, 10, 20), Hop::of_client(2));
   root.forwarded_to.clear();
-  EXPECT_TRUE(rt_.unquenched_subs_on_link(root, link_).empty());
+  EXPECT_TRUE(unquenched_subs(root, link_).empty());
 }
 
 TEST_P(CoveringDecisionTest, UnquenchSkipsEntriesOwnedByLink) {
@@ -106,7 +132,7 @@ TEST_P(CoveringDecisionTest, UnquenchSkipsEntriesOwnedByLink) {
   // This subscription CAME from the link; it must not be forwarded back.
   rt_.upsert_sub(sub(2, 10, 20), link_);
   root.forwarded_to.clear();
-  EXPECT_TRUE(rt_.unquenched_subs_on_link(root, link_).empty());
+  EXPECT_TRUE(unquenched_subs(root, link_).empty());
 }
 
 TEST_P(CoveringDecisionTest, UnquenchSkipsShadowOnlyEntries) {
@@ -115,7 +141,7 @@ TEST_P(CoveringDecisionTest, UnquenchSkipsShadowOnlyEntries) {
   root.forwarded_to.insert(link_);
   rt_.install_sub_shadow(sub(2, 10, 20), Hop::of_broker(9), /*txn=*/3);
   root.forwarded_to.clear();
-  EXPECT_TRUE(rt_.unquenched_subs_on_link(root, link_).empty());
+  EXPECT_TRUE(unquenched_subs(root, link_).empty());
 }
 
 TEST_P(CoveringDecisionTest, AdvCoveringMirrorsSubCovering) {
@@ -127,26 +153,33 @@ TEST_P(CoveringDecisionTest, AdvCoveringMirrorsSubCovering) {
                                     .attr("x").ge(10).le(20)};
   auto& w = rt_.upsert_adv(wide, Hop::of_client(1));
   w.forwarded_to.insert(link_);
-  EXPECT_TRUE(rt_.adv_covered_on_link(narrow.id, narrow.filter, link_));
+  EXPECT_TRUE(adv_covered(narrow.id, narrow.filter, link_));
 
   auto& n = rt_.upsert_adv(narrow, Hop::of_client(2));
   n.forwarded_to.insert(link_);
   const auto victims =
-      rt_.strictly_covered_advs_on_link({20, 3}, wide.filter, link_);
+      strictly_covered_advs({20, 3}, wide.filter, link_);
   ASSERT_EQ(victims.size(), 1u);
   EXPECT_EQ(victims[0]->adv.id, narrow.id);
 
   // Removal of the wide advertisement un-quenches the narrow one.
   n.forwarded_to.clear();
   w.forwarded_to.clear();
-  const auto orphans = rt_.unquenched_advs_on_link(w, link_);
+  const auto orphans = unquenched_advs(w, link_);
   ASSERT_EQ(orphans.size(), 1u);
   EXPECT_EQ(orphans[0]->adv.id, narrow.id);
 }
 
 // The delta-returning mutation API: forwarding, quenching, covering
-// retraction and un-quench ordering, end to end on one table.
-TEST_P(CoveringDecisionTest, AddSubForwardsTowardsAdvertisement) {
+// retraction and un-quench ordering, end to end on one table. It always
+// runs on the index.
+class CoveringMutationTest : public ::testing::Test {
+ protected:
+  RoutingTables rt_;
+  const Hop link_ = Hop::of_broker(7);
+};
+
+TEST_F(CoveringMutationTest, AddSubForwardsTowardsAdvertisement) {
   rt_.upsert_adv({{20, 1}, full_space_advertisement()}, link_);
   const RoutingDelta d = rt_.add_sub(sub(1, 0, 100), Hop::of_client(1));
   ASSERT_EQ(d.ops.size(), 1u);
@@ -156,7 +189,7 @@ TEST_P(CoveringDecisionTest, AddSubForwardsTowardsAdvertisement) {
   EXPECT_TRUE(rt_.find_sub({10, 1})->forwarded_to.contains(link_));
 }
 
-TEST_P(CoveringDecisionTest, AddSubQuenchedByCoverer) {
+TEST_F(CoveringMutationTest, AddSubQuenchedByCoverer) {
   rt_.upsert_adv({{20, 1}, full_space_advertisement()}, link_);
   ASSERT_FALSE(rt_.add_sub(sub(1, 0, 100), Hop::of_client(1)).empty());
   const RoutingDelta d = rt_.add_sub(sub(2, 10, 20), Hop::of_client(2));
@@ -165,7 +198,7 @@ TEST_P(CoveringDecisionTest, AddSubQuenchedByCoverer) {
   EXPECT_EQ(d.quenched[0], link_);
 }
 
-TEST_P(CoveringDecisionTest, AddSubRetractsStrictlyCovered) {
+TEST_F(CoveringMutationTest, AddSubRetractsStrictlyCovered) {
   rt_.upsert_adv({{20, 1}, full_space_advertisement()}, link_);
   rt_.add_sub(sub(2, 10, 20), Hop::of_client(2));
   const RoutingDelta d = rt_.add_sub(sub(1, 0, 100), Hop::of_client(1));
@@ -177,7 +210,7 @@ TEST_P(CoveringDecisionTest, AddSubRetractsStrictlyCovered) {
   EXPECT_TRUE(d.ops[1].induced);
 }
 
-TEST_P(CoveringDecisionTest, RemoveSubEmitsUnquenchBeforeRetraction) {
+TEST_F(CoveringMutationTest, RemoveSubEmitsUnquenchBeforeRetraction) {
   rt_.upsert_adv({{20, 1}, full_space_advertisement()}, link_);
   rt_.add_sub(sub(1, 0, 100), Hop::of_client(1));
   rt_.add_sub(sub(2, 10, 20), Hop::of_client(2));  // quenched
@@ -193,14 +226,14 @@ TEST_P(CoveringDecisionTest, RemoveSubEmitsUnquenchBeforeRetraction) {
   EXPECT_EQ(rt_.find_sub({10, 1}), nullptr);
 }
 
-TEST_P(CoveringDecisionTest, RemoveSubFromWrongHopIsDropped) {
+TEST_F(CoveringMutationTest, RemoveSubFromWrongHopIsDropped) {
   rt_.add_sub(sub(1, 0, 100), Hop::of_client(1));
   const RoutingDelta d = rt_.remove_sub({10, 1}, Hop::of_client(99));
   EXPECT_FALSE(d.applied);
   EXPECT_NE(rt_.find_sub({10, 1}), nullptr);
 }
 
-TEST_P(CoveringDecisionTest, CoverIndexStaysConsistent) {
+TEST_F(CoveringMutationTest, CoverIndexStaysConsistent) {
   rt_.upsert_adv({{20, 1}, full_space_advertisement()}, link_);
   rt_.add_sub(sub(1, 0, 100), Hop::of_client(1));
   rt_.add_sub(sub(2, 10, 20), Hop::of_client(2));

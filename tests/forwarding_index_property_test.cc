@@ -24,7 +24,6 @@ namespace {
 /// publication: same deduped link set, same matched count, same version.
 void expect_match_equals_scan(RoutingTables& rt, std::mt19937_64& rng,
                               int probes = 24) {
-  ASSERT_TRUE(rt.use_forward_index());
   std::uint32_t seq = 0;
   for (int i = 0; i < probes; ++i) {
     const std::int64_t x = static_cast<std::int64_t>(rng() % 12000) - 1000;
@@ -240,8 +239,7 @@ TEST(ForwardIndexBatchTest, MatchDuringOpenBatchStaysExact) {
   EXPECT_TRUE(rt.check_forward_index().empty());
 }
 
-// End-to-end: a small mobility scenario with the forwarding index enabled
-// leaves every broker's index structurally consistent, and match() still
+// End-to-end: a small mobility scenario leaves every broker's index structurally consistent, and match() still
 // equals the scan oracle on the final tables.
 TEST(ForwardIndexScenarioTest, BrokersStayConsistentThroughMovements) {
   ScenarioConfig cfg;
@@ -251,7 +249,6 @@ TEST(ForwardIndexScenarioTest, BrokersStayConsistentThroughMovements) {
   cfg.duration = 80.0;
   cfg.warmup = 20.0;
   cfg.seed = 13;
-  ASSERT_TRUE(cfg.broker.forwarding_index);  // default-on
   Scenario s(cfg);
   s.run();
   std::mt19937_64 rng(7);

@@ -1,5 +1,5 @@
 // Tests of the queueing-network simulator: delays, FIFO links, congestion,
-// cause tracking, failure injection.
+// the cause ledger, failure injection.
 #include <gtest/gtest.h>
 
 #include "pubsub/workload.h"
@@ -66,19 +66,34 @@ TEST(SimNetwork, BrokerProcessingQueues) {
   EXPECT_GE(net.now(), p.link_service + p.link_delay + 2 * p.control_proc);
 }
 
+// The cause ledger (sim/host_core.h), exercised through the simulator.
+
 TEST(SimNetwork, CauseTrackingDrains) {
+  // A watcher fires once, when the last message of the causal chain
+  // retires: B2 relays the message before retiring its own copy, so the
+  // cause stays open until B3 has processed the second hop.
   Overlay o = Overlay::chain(3);
   SimNetwork net(o);
   Message m = unicast(net.broker(1), 3);
   m.cause = 42;
-  bool drained = false;
+  int fired = 0;
+  double fired_at = -1;
   net.transmit(1, {{2, m}});
   EXPECT_EQ(net.outstanding(42), 1u);
-  net.on_cause_drained(42, [&] { drained = true; });
-  EXPECT_FALSE(drained);
+  net.on_cause_drained(42, [&] {
+    ++fired;
+    fired_at = net.now();
+    EXPECT_EQ(net.outstanding(42), 0u);
+  });
+  EXPECT_EQ(fired, 0);
   net.run();
-  EXPECT_TRUE(drained);
+  EXPECT_EQ(fired, 1);
+  const auto& p = NetworkProfile::lan();
+  EXPECT_NEAR(fired_at, 2 * (p.link_service + p.link_delay + p.control_proc),
+              1e-9);
   EXPECT_EQ(net.outstanding(42), 0u);
+  EXPECT_TRUE(net.outstanding_causes().empty());
+  EXPECT_EQ(net.in_flight(), 0u);
 }
 
 TEST(SimNetwork, CauseDrainFiresImmediatelyWhenIdle) {
@@ -87,6 +102,64 @@ TEST(SimNetwork, CauseDrainFiresImmediatelyWhenIdle) {
   bool fired = false;
   net.on_cause_drained(7, [&] { fired = true; });
   EXPECT_TRUE(fired);
+
+  // A cause that has drained is idle again.
+  Message m = unicast(net.broker(1), 2);
+  m.cause = 7;
+  net.transmit(1, {{2, m}});
+  net.run();
+  fired = false;
+  net.on_cause_drained(7, [&] { fired = true; });
+  EXPECT_TRUE(fired);
+}
+
+TEST(SimNetwork, CauseWatchersFireInRegistrationOrder) {
+  Overlay o = Overlay::chain(2);
+  SimNetwork net(o);
+  Message m = unicast(net.broker(1), 2);
+  m.cause = 9;
+  net.transmit(1, {{2, m}});
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    net.on_cause_drained(9, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_TRUE(order.empty());
+  net.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimNetwork, DroppedMessageNeverHoldsADrainOpen) {
+  Overlay o = Overlay::chain(3);
+  SimNetwork net(o);
+  // Lose every message on the second hop: the relay's copy never arrives.
+  net.set_fault_hook([](BrokerId from, BrokerId, const Message&) {
+    FaultAction a;
+    a.drop = from == 2;
+    return a;
+  });
+  Message m = unicast(net.broker(1), 3);
+  m.cause = 5;
+  net.transmit(1, {{2, m}});
+  bool drained = false;
+  net.on_cause_drained(5, [&] { drained = true; });
+  net.run();
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(net.outstanding(5), 0u);
+  // The lost message still counts as traffic.
+  EXPECT_EQ(net.stats().total_messages(), 2u);
+  EXPECT_EQ(net.metrics()->counter("sim_messages_dropped_total").value(), 1u);
+
+  // A message lost on its first hop leaves nothing in flight either.
+  net.set_fault_hook([](BrokerId, BrokerId, const Message&) {
+    FaultAction a;
+    a.drop = true;
+    return a;
+  });
+  Message first = unicast(net.broker(1), 2);
+  first.cause = 6;
+  net.transmit(1, {{2, first}});
+  EXPECT_EQ(net.outstanding(6), 0u);
+  EXPECT_EQ(net.in_flight(), 0u);
 }
 
 TEST(SimNetwork, PausedBrokerDelaysButDelivers) {
