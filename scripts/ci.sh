@@ -2,7 +2,8 @@
 # CI entry point: builds and runs the test suite under several
 # configurations —
 #
-#   1. a plain release-ish build (the configuration the benches use);
+#   1. a plain release-ish build (the configuration the benches use), with
+#      warnings as errors (-DTMPS_WERROR=ON);
 #   2. an AddressSanitizer+UBSan build (-DTMPS_SANITIZE=address), which has
 #      caught lifetime bugs the plain run cannot;
 #   3. a ThreadSanitizer build (-DTMPS_SANITIZE=thread) scoped to the
@@ -93,7 +94,7 @@ run_suite() {
     "${ctest_filter[@]}"
 }
 
-run_suite build
+run_suite build -DTMPS_WERROR=ON
 run_suite build-asan -DTMPS_SANITIZE=address
 
 # ThreadSanitizer on the threaded paths only (the simulator is

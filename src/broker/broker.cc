@@ -7,41 +7,6 @@
 
 namespace tmps {
 
-// The flight recorder stores the payload variant index directly as its
-// event kind; keep the two enumerations aligned.
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     obs::FlightKind::kAdvertise),
-                                 Payload>,
-              AdvertiseMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     obs::FlightKind::kPublish),
-                                 Payload>,
-              PublishMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     obs::FlightKind::kTradReject),
-                                 Payload>,
-              TradRejectMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     obs::FlightKind::kRepairVerdict),
-                                 Payload>,
-              RepairVerdictMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     obs::FlightKind::kSessionOpen),
-                                 Payload>,
-              SessionOpenMsg>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     obs::FlightKind::kSessionForward),
-                                 Payload>,
-              SessionForwardMsg>);
-static_assert(static_cast<std::size_t>(obs::FlightKind::kSessionForward) + 1 ==
-              std::variant_size_v<Payload>);
-
 namespace {
 
 /// Seconds with enough precision for sub-millisecond hop latencies
@@ -156,8 +121,7 @@ Broker::Outputs Broker::client_publish(ClientId client, const Publication& pub,
                                        TxnId cause) {
   Outputs out;
   if (flight_) {
-    flight_->record(obs::FlightKind::kClientOp, clock_ ? clock_() : 0.0, 0,
-                    cause, client);
+    flight_->record("client-op", clock_ ? clock_() : 0.0, 0, cause, client);
   }
   do_publish(Hop::of_client(client), pub, cause, out);
   return out;
@@ -214,8 +178,8 @@ Broker::Outputs Broker::on_message(BrokerId from, const Message& msg) {
   Outputs out;
   if (msgs_processed_) msgs_processed_->inc();
   if (flight_) {
-    flight_->record(static_cast<obs::FlightKind>(msg.payload.index()),
-                    clock_ ? clock_() : 0.0, from, msg.cause, msg.id);
+    flight_->record(msg.type_name(), clock_ ? clock_() : 0.0, from, msg.cause,
+                    msg.id);
   }
   const Hop from_hop = Hop::of_broker(from);
   if (const auto* p = std::get_if<AdvertiseMsg>(&msg.payload)) {
@@ -270,7 +234,7 @@ void Broker::deliver_local(ClientId client, const Publication& pub,
   TMPS_PROF_STAGE(prof_.get(), obs::Stage::kDeliver);
   if (deliveries_) deliveries_->inc();
   if (flight_) {
-    flight_->record(obs::FlightKind::kDeliver, now, 0, 0, client);
+    flight_->record("deliver", now, 0, 0, client);
   }
   if (tag != nullptr) {
     // End-to-end latency up to edge-broker arrival; publications intercepted

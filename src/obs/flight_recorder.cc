@@ -6,39 +6,6 @@
 
 namespace tmps::obs {
 
-std::string_view flight_kind_name(FlightKind k) {
-  switch (k) {
-    case FlightKind::kAdvertise: return "adv";
-    case FlightKind::kUnadvertise: return "unadv";
-    case FlightKind::kSubscribe: return "sub";
-    case FlightKind::kUnsubscribe: return "unsub";
-    case FlightKind::kPublish: return "pub";
-    case FlightKind::kMoveNegotiate: return "move-negotiate";
-    case FlightKind::kMoveApprove: return "move-approve";
-    case FlightKind::kMoveReject: return "move-reject";
-    case FlightKind::kMoveState: return "move-state";
-    case FlightKind::kMoveAck: return "move-ack";
-    case FlightKind::kMoveAbort: return "move-abort";
-    case FlightKind::kBufferedState: return "buffered-state";
-    case FlightKind::kTradMoveRequest: return "trad-move-request";
-    case FlightKind::kTradReady: return "trad-ready";
-    case FlightKind::kTradReject: return "trad-reject";
-    case FlightKind::kRepairDigest: return "repair-digest";
-    case FlightKind::kRepairRequest: return "repair-request";
-    case FlightKind::kRepairProbe: return "repair-probe";
-    case FlightKind::kRepairVerdict: return "repair-verdict";
-    case FlightKind::kSessionOpen: return "session-open";
-    case FlightKind::kSessionResume: return "session-resume";
-    case FlightKind::kSessionAck: return "session-ack";
-    case FlightKind::kSessionHeartbeat: return "session-heartbeat";
-    case FlightKind::kSessionClose: return "session-close";
-    case FlightKind::kSessionForward: return "session-forward";
-    case FlightKind::kDeliver: return "deliver";
-    case FlightKind::kClientOp: return "client-op";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::uint64_t bits_of(double v) {
@@ -65,8 +32,9 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(round_up_pow2(capacity)),
       slots_(std::make_unique<Slot[]>(capacity_)) {}
 
-void FlightRecorder::record(FlightKind kind, double time, std::uint32_t from,
-                            std::uint64_t cause, std::uint64_t detail) {
+void FlightRecorder::record(std::string_view kind, double time,
+                            std::uint32_t from, std::uint64_t cause,
+                            std::uint64_t detail) {
   const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[ticket & (capacity_ - 1)];
   // Invalidate, fill, publish: a reader either sees the old generation's
@@ -74,8 +42,9 @@ void FlightRecorder::record(FlightKind kind, double time, std::uint32_t from,
   // new event), or a mismatch / 0 and skips the slot.
   s.seq.store(0, std::memory_order_release);
   s.time_bits.store(bits_of(time), std::memory_order_relaxed);
-  s.meta.store(static_cast<std::uint64_t>(kind) |
-                   (static_cast<std::uint64_t>(from) << 8),
+  s.kind.store(kind.data(), std::memory_order_relaxed);
+  s.meta.store(static_cast<std::uint32_t>(kind.size()) |
+                   (static_cast<std::uint64_t>(from) << 32),
                std::memory_order_relaxed);
   s.cause.store(cause, std::memory_order_relaxed);
   s.detail.store(detail, std::memory_order_relaxed);
@@ -95,8 +64,9 @@ std::vector<FlightRecorder::Event> FlightRecorder::snapshot() const {
     Event e;
     e.time = double_of(s.time_bits.load(std::memory_order_relaxed));
     const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    e.kind = static_cast<FlightKind>(meta & 0xff);
-    e.from = static_cast<std::uint32_t>(meta >> 8);
+    e.kind = std::string_view(s.kind.load(std::memory_order_relaxed),
+                              static_cast<std::uint32_t>(meta));
+    e.from = static_cast<std::uint32_t>(meta >> 32);
     e.cause = s.cause.load(std::memory_order_relaxed);
     e.detail = s.detail.load(std::memory_order_relaxed);
     const std::uint64_t seq2 = s.seq.load(std::memory_order_acquire);
@@ -126,7 +96,7 @@ void FlightRecorder::write_jsonl(std::ostream& os, std::uint32_t broker,
     line += ",\"t\":";
     append_json_number(line, e.time);
     line += ",\"kind\":";
-    append_json_string(line, flight_kind_name(e.kind));
+    append_json_string(line, e.kind);
     line += ",\"from\":";
     append_json_number(line, static_cast<std::uint64_t>(e.from));
     line += ",\"cause\":";

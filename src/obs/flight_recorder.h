@@ -24,54 +24,25 @@
 
 namespace tmps::obs {
 
-/// What happened. Values 0..18 mirror the Message payload variant order
-/// (pubsub/messages.h) so recording from on_message is a single index copy.
-enum class FlightKind : std::uint8_t {
-  kAdvertise = 0,
-  kUnadvertise = 1,
-  kSubscribe = 2,
-  kUnsubscribe = 3,
-  kPublish = 4,
-  kMoveNegotiate = 5,
-  kMoveApprove = 6,
-  kMoveReject = 7,
-  kMoveState = 8,
-  kMoveAck = 9,
-  kMoveAbort = 10,
-  kBufferedState = 11,
-  kTradMoveRequest = 12,
-  kTradReady = 13,
-  kTradReject = 14,
-  kRepairDigest = 15,
-  kRepairRequest = 16,
-  kRepairProbe = 17,
-  kRepairVerdict = 18,
-  kSessionOpen = 19,
-  kSessionResume = 20,
-  kSessionAck = 21,
-  kSessionHeartbeat = 22,
-  kSessionClose = 23,
-  kSessionForward = 24,
-  kDeliver = 25,    ///< local delivery to a client (detail = client id)
-  kClientOp = 26,   ///< local client operation (detail = client id)
-};
-
-std::string_view flight_kind_name(FlightKind k);
-
 class FlightRecorder {
  public:
   struct Event {
     double time = 0;
-    FlightKind kind = FlightKind::kPublish;
+    /// What happened: a Message::type_name() (detail = message id),
+    /// "deliver" (a local delivery) or "client-op" (a local client
+    /// operation; for both, detail = client id).
+    std::string_view kind;
     std::uint32_t from = 0;  ///< peer broker the message arrived from; 0 local
     std::uint64_t cause = 0;
-    std::uint64_t detail = 0;  ///< message id, client id — kind-dependent
+    std::uint64_t detail = 0;
   };
 
   /// `capacity` is rounded up to a power of two (cheap wrap); minimum 8.
   explicit FlightRecorder(std::size_t capacity = 256);
 
-  void record(FlightKind kind, double time, std::uint32_t from,
+  /// `kind` must have static storage (a string literal or a
+  /// Message::type_name()): the ring keeps the pointer, not a copy.
+  void record(std::string_view kind, double time, std::uint32_t from,
               std::uint64_t cause, std::uint64_t detail);
 
   /// Consistent-slot copy of the buffered events, oldest first. Slots being
@@ -93,7 +64,8 @@ class FlightRecorder {
     /// 0 = never written; otherwise 1 + the claim ticket of the writer.
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> time_bits{0};
-    std::atomic<std::uint64_t> meta{0};  ///< kind | from<<8
+    std::atomic<const char*> kind{nullptr};
+    std::atomic<std::uint64_t> meta{0};  ///< kind length | from<<32
     std::atomic<std::uint64_t> cause{0};
     std::atomic<std::uint64_t> detail{0};
   };

@@ -1,6 +1,10 @@
 #include "pubsub/codec.h"
 
+#include <array>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 namespace tmps {
 
@@ -9,34 +13,6 @@ namespace {
 // Sanity bounds: decoding never allocates absurd amounts for hostile input.
 constexpr std::uint32_t kMaxString = 1 << 20;
 constexpr std::uint32_t kMaxList = 1 << 16;
-
-enum class PayloadTag : std::uint8_t {
-  Advertise = 1,
-  Unadvertise = 2,
-  Subscribe = 3,
-  Unsubscribe = 4,
-  Publish = 5,
-  MoveNegotiate = 6,
-  MoveApprove = 7,
-  MoveReject = 8,
-  MoveState = 9,
-  MoveAck = 10,
-  MoveAbort = 11,
-  BufferedState = 12,
-  TradMoveRequest = 13,
-  TradReady = 14,
-  TradReject = 15,
-  RepairDigest = 16,
-  RepairRequest = 17,
-  RepairProbe = 18,
-  RepairVerdict = 19,
-  SessionOpen = 20,
-  SessionResume = 21,
-  SessionAck = 22,
-  SessionHeartbeat = 23,
-  SessionClose = 24,
-  SessionForward = 25,
-};
 
 }  // namespace
 
@@ -243,417 +219,125 @@ bool decode(Reader& r, Advertisement& a) {
   return decode(r, a.id) && decode(r, a.filter);
 }
 
-// --- vectors ----------------------------------------------------------------------
+// --- payload fields ---------------------------------------------------------
+//
+// put/get write and read one field of a payload struct; put_fields and
+// get_fields walk the struct's fields() list (pubsub/messages.h) in order.
 
 namespace {
 
-template <typename T>
-void encode_vec(Writer& w, const std::vector<T>& xs) {
-  w.u32(static_cast<std::uint32_t>(xs.size()));
-  for (const auto& x : xs) encode(w, x);
+void put(Writer& w, std::uint32_t v) { w.u32(v); }
+void put(Writer& w, std::uint64_t v) { w.u64(v); }
+void put(Writer& w, bool v) { w.u8(v ? 1 : 0); }
+void put(Writer& w, const std::string& s) { w.str(s); }
+void put(Writer& w, const EntityId& id) { encode(w, id); }
+void put(Writer& w, const Publication& p) { encode(w, p); }
+void put(Writer& w, const Subscription& s) { encode(w, s); }
+void put(Writer& w, const Advertisement& a) { encode(w, a); }
+
+template <class E>
+  requires std::is_enum_v<E>
+void put(Writer& w, E v) {
+  w.u8(static_cast<std::uint8_t>(v));
 }
 
-template <typename T>
-bool decode_vec(Reader& r, std::vector<T>& xs) {
+template <class T>
+void put(Writer& w, const std::vector<T>& xs) {
+  w.u32(static_cast<std::uint32_t>(xs.size()));
+  for (const T& x : xs) put(w, x);
+}
+
+template <class T>
+void put(Writer& w, const std::optional<T>& x) {
+  put(w, x.has_value());
+  if (x) put(w, *x);
+}
+
+bool get(Reader& r, std::uint32_t& v) { return r.u32(v); }
+bool get(Reader& r, std::uint64_t& v) { return r.u64(v); }
+bool get(Reader& r, std::string& s) { return r.str(s); }
+bool get(Reader& r, EntityId& id) { return decode(r, id); }
+bool get(Reader& r, Publication& p) { return decode(r, p); }
+bool get(Reader& r, Subscription& s) { return decode(r, s); }
+bool get(Reader& r, Advertisement& a) { return decode(r, a); }
+
+bool get(Reader& r, bool& v) {
+  std::uint8_t b;
+  if (!r.u8(b) || b > 1) return false;
+  v = b != 0;
+  return true;
+}
+
+/// An enum byte must name one of the values up to `last`.
+template <class E>
+bool get_enum(Reader& r, E& v, E last) {
+  std::uint8_t b;
+  if (!r.u8(b) || b > static_cast<std::uint8_t>(last)) return false;
+  v = static_cast<E>(b);
+  return true;
+}
+
+bool get(Reader& r, RepairVerdict& v) {
+  return get_enum(r, v, RepairVerdict::Aborted);
+}
+
+bool get(Reader& r, SessionVerdict& v) {
+  return get_enum(r, v, SessionVerdict::Unknown);
+}
+
+template <class T>
+bool get(Reader& r, std::vector<T>& xs) {
   std::uint32_t n;
   if (!r.u32(n) || n > kMaxList) return false;
   xs.clear();
   xs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     T x;
-    if (!decode(r, x)) return false;
+    if (!get(r, x)) return false;
     xs.push_back(std::move(x));
   }
   return true;
 }
 
-struct PayloadEncoder {
-  Writer& w;
-  void operator()(const AdvertiseMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::Advertise));
-    encode(w, m.adv);
-  }
-  void operator()(const UnadvertiseMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::Unadvertise));
-    encode(w, m.adv_id);
-  }
-  void operator()(const SubscribeMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::Subscribe));
-    encode(w, m.sub);
-  }
-  void operator()(const UnsubscribeMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::Unsubscribe));
-    encode(w, m.sub_id);
-  }
-  void operator()(const PublishMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::Publish));
-    encode(w, m.pub);
-  }
-  void operator()(const MoveNegotiateMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::MoveNegotiate));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.u32(m.source);
-    w.u32(m.target);
-    encode_vec(w, m.subs);
-    encode_vec(w, m.advs);
-    w.u32(m.next_seq);
-  }
-  void operator()(const MoveApproveMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::MoveApprove));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.u32(m.source);
-    w.u32(m.target);
-    encode_vec(w, m.subs);
-    encode_vec(w, m.advs);
-  }
-  void operator()(const MoveRejectMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::MoveReject));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.str(m.reason);
-  }
-  void operator()(const MoveStateMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::MoveState));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.u32(m.source);
-    w.u32(m.target);
-    encode_vec(w, m.queued_notifications);
-    encode_vec(w, m.queued_commands);
-    encode_vec(w, m.sub_ids);
-    encode_vec(w, m.adv_ids);
-  }
-  void operator()(const MoveAckMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::MoveAck));
-    w.u64(m.txn);
-    w.u64(m.client);
-  }
-  void operator()(const MoveAbortMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::MoveAbort));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.u32(m.source);
-    w.u32(m.target);
-    encode_vec(w, m.sub_ids);
-    encode_vec(w, m.adv_ids);
-  }
-  void operator()(const BufferedStateMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::BufferedState));
-    w.u64(m.txn);
-    w.u64(m.client);
-    encode_vec(w, m.queued_notifications);
-    encode_vec(w, m.queued_commands);
-  }
-  void operator()(const TradMoveRequestMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::TradMoveRequest));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.u32(m.source);
-    w.u32(m.target);
-    encode_vec(w, m.subs);
-    encode_vec(w, m.advs);
-    w.u32(m.next_seq);
-  }
-  void operator()(const TradReadyMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::TradReady));
-    w.u64(m.txn);
-    w.u64(m.client);
-  }
-  void operator()(const TradRejectMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::TradReject));
-    w.u64(m.txn);
-    w.u64(m.client);
-    w.str(m.reason);
-  }
-  void operator()(const RepairDigestMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::RepairDigest));
-    w.u64(m.round);
-    w.u32(m.origin);
-    encode_vec(w, m.sub_ids);
-    encode_vec(w, m.adv_ids);
-    encode_vec(w, m.in_flight_subs);
-    encode_vec(w, m.in_flight_advs);
-  }
-  void operator()(const RepairRequestMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::RepairRequest));
-    w.u64(m.round);
-    w.u32(m.origin);
-    encode_vec(w, m.sub_ids);
-    encode_vec(w, m.adv_ids);
-  }
-  void operator()(const RepairProbeMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::RepairProbe));
-    w.u64(m.txn);
-    w.u32(m.asker);
-  }
-  void operator()(const RepairVerdictMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::RepairVerdict));
-    w.u64(m.txn);
-    w.u8(static_cast<std::uint8_t>(m.verdict));
-    w.u32(m.source);
-    w.u32(m.target);
-    w.u64(m.client);
-  }
-  void operator()(const SessionOpenMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::SessionOpen));
-    w.u64(m.client);
-    w.u32(m.at);
-    w.u8(m.has_will ? 1 : 0);
-    if (m.has_will) encode(w, m.will);
-  }
-  void operator()(const SessionResumeMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::SessionResume));
-    w.u64(m.token);
-    w.u64(m.client);
-    w.u32(m.at);
-  }
-  void operator()(const SessionAckMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::SessionAck));
-    w.u64(m.token);
-    w.u64(m.client);
-    w.u8(static_cast<std::uint8_t>(m.verdict));
-    w.u64(m.txn);
-    w.u32(m.home);
-    w.u8(m.has_will ? 1 : 0);
-    if (m.has_will) encode(w, m.will);
-  }
-  void operator()(const SessionHeartbeatMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::SessionHeartbeat));
-    w.u64(m.token);
-    w.u64(m.client);
-  }
-  void operator()(const SessionCloseMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::SessionClose));
-    w.u64(m.token);
-    w.u64(m.client);
-    w.u8(m.fire_will ? 1 : 0);
-  }
-  void operator()(const SessionForwardMsg& m) {
-    w.u8(static_cast<std::uint8_t>(PayloadTag::SessionForward));
-    w.u64(m.token);
-    w.u64(m.client);
-    w.u32(m.origin);
-    encode_vec(w, m.pubs);
-  }
-};
+template <class T>
+bool get(Reader& r, std::optional<T>& x) {
+  bool present;
+  if (!get(r, present)) return false;
+  x.reset();
+  return !present || get(r, x.emplace());
+}
 
-bool decode_payload(Reader& r, Payload& payload) {
+template <class M>
+void put_fields(Writer& w, const M& m) {
+  std::apply([&w](const auto&... f) { (put(w, f), ...); }, M::fields(m));
+}
+
+template <class M>
+bool get_fields(Reader& r, M& m) {
+  return std::apply([&r](auto&... f) { return (get(r, f) && ...); },
+                    M::fields(m));
+}
+
+/// Decodes the fields of payload alternative I into `p`.
+template <std::size_t I>
+bool get_alternative(Reader& r, Payload& p) {
+  return get_fields(r, p.emplace<I>());
+}
+
+template <std::size_t... I>
+constexpr auto alternative_getters(std::index_sequence<I...>) {
+  return std::array{&get_alternative<I>...};
+}
+
+// The wire tag is the variant index + 1 (0 is never a valid tag).
+constexpr auto kGetters = alternative_getters(
+    std::make_index_sequence<std::variant_size_v<Payload>>());
+static_assert(kGetters.size() < 256, "payload tags are one byte");
+
+bool get_payload(Reader& r, Payload& p) {
   std::uint8_t tag;
-  if (!r.u8(tag)) return false;
-  switch (static_cast<PayloadTag>(tag)) {
-    case PayloadTag::Advertise: {
-      AdvertiseMsg m;
-      if (!decode(r, m.adv)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::Unadvertise: {
-      UnadvertiseMsg m;
-      if (!decode(r, m.adv_id)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::Subscribe: {
-      SubscribeMsg m;
-      if (!decode(r, m.sub)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::Unsubscribe: {
-      UnsubscribeMsg m;
-      if (!decode(r, m.sub_id)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::Publish: {
-      PublishMsg m;
-      if (!decode(r, m.pub)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::MoveNegotiate: {
-      MoveNegotiateMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.u32(m.source) ||
-          !r.u32(m.target) || !decode_vec(r, m.subs) ||
-          !decode_vec(r, m.advs) || !r.u32(m.next_seq)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::MoveApprove: {
-      MoveApproveMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.u32(m.source) ||
-          !r.u32(m.target) || !decode_vec(r, m.subs) ||
-          !decode_vec(r, m.advs)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::MoveReject: {
-      MoveRejectMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.str(m.reason)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::MoveState: {
-      MoveStateMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.u32(m.source) ||
-          !r.u32(m.target) || !decode_vec(r, m.queued_notifications) ||
-          !decode_vec(r, m.queued_commands) || !decode_vec(r, m.sub_ids) ||
-          !decode_vec(r, m.adv_ids)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::MoveAck: {
-      MoveAckMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::MoveAbort: {
-      MoveAbortMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.u32(m.source) ||
-          !r.u32(m.target) || !decode_vec(r, m.sub_ids) ||
-          !decode_vec(r, m.adv_ids)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::BufferedState: {
-      BufferedStateMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) ||
-          !decode_vec(r, m.queued_notifications) ||
-          !decode_vec(r, m.queued_commands)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::TradMoveRequest: {
-      TradMoveRequestMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.u32(m.source) ||
-          !r.u32(m.target) || !decode_vec(r, m.subs) ||
-          !decode_vec(r, m.advs) || !r.u32(m.next_seq)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::TradReady: {
-      TradReadyMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::TradReject: {
-      TradRejectMsg m;
-      if (!r.u64(m.txn) || !r.u64(m.client) || !r.str(m.reason)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::RepairDigest: {
-      RepairDigestMsg m;
-      if (!r.u64(m.round) || !r.u32(m.origin) || !decode_vec(r, m.sub_ids) ||
-          !decode_vec(r, m.adv_ids) || !decode_vec(r, m.in_flight_subs) ||
-          !decode_vec(r, m.in_flight_advs)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::RepairRequest: {
-      RepairRequestMsg m;
-      if (!r.u64(m.round) || !r.u32(m.origin) || !decode_vec(r, m.sub_ids) ||
-          !decode_vec(r, m.adv_ids)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::RepairProbe: {
-      RepairProbeMsg m;
-      if (!r.u64(m.txn) || !r.u32(m.asker)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::RepairVerdict: {
-      RepairVerdictMsg m;
-      std::uint8_t verdict;
-      if (!r.u64(m.txn) || !r.u8(verdict) ||
-          verdict > static_cast<std::uint8_t>(RepairVerdict::Aborted) ||
-          !r.u32(m.source) || !r.u32(m.target) || !r.u64(m.client)) {
-        return false;
-      }
-      m.verdict = static_cast<RepairVerdict>(verdict);
-      payload = m;
-      return true;
-    }
-    case PayloadTag::SessionOpen: {
-      SessionOpenMsg m;
-      std::uint8_t has_will;
-      if (!r.u64(m.client) || !r.u32(m.at) || !r.u8(has_will) || has_will > 1) {
-        return false;
-      }
-      m.has_will = has_will != 0;
-      if (m.has_will && !decode(r, m.will)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::SessionResume: {
-      SessionResumeMsg m;
-      if (!r.u64(m.token) || !r.u64(m.client) || !r.u32(m.at)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::SessionAck: {
-      SessionAckMsg m;
-      std::uint8_t verdict;
-      std::uint8_t has_will;
-      if (!r.u64(m.token) || !r.u64(m.client) || !r.u8(verdict) ||
-          verdict > static_cast<std::uint8_t>(SessionVerdict::Unknown) ||
-          !r.u64(m.txn) || !r.u32(m.home) || !r.u8(has_will) || has_will > 1) {
-        return false;
-      }
-      m.verdict = static_cast<SessionVerdict>(verdict);
-      m.has_will = has_will != 0;
-      if (m.has_will && !decode(r, m.will)) return false;
-      payload = std::move(m);
-      return true;
-    }
-    case PayloadTag::SessionHeartbeat: {
-      SessionHeartbeatMsg m;
-      if (!r.u64(m.token) || !r.u64(m.client)) return false;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::SessionClose: {
-      SessionCloseMsg m;
-      std::uint8_t fire;
-      if (!r.u64(m.token) || !r.u64(m.client) || !r.u8(fire) || fire > 1) {
-        return false;
-      }
-      m.fire_will = fire != 0;
-      payload = m;
-      return true;
-    }
-    case PayloadTag::SessionForward: {
-      SessionForwardMsg m;
-      if (!r.u64(m.token) || !r.u64(m.client) || !r.u32(m.origin) ||
-          !decode_vec(r, m.pubs)) {
-        return false;
-      }
-      payload = std::move(m);
-      return true;
-    }
-  }
-  return false;
+  if (!r.u8(tag) || tag == 0 || tag > kGetters.size()) return false;
+  return kGetters[tag - 1](r, p);
 }
 
 }  // namespace
@@ -675,7 +359,8 @@ std::string encode_message(const Message& m) {
     w.u8(m.prov->hops);
     w.u8(m.prov->sampled ? 1 : 0);
   }
-  std::visit(PayloadEncoder{w}, m.payload);
+  w.u8(static_cast<std::uint8_t>(m.payload.index() + 1));
+  std::visit([&w](const auto& p) { put_fields(w, p); }, m.payload);
   return w.take();
 }
 
@@ -701,7 +386,7 @@ std::optional<Message> decode_message(std::string_view bytes) {
     tag.sampled = sampled != 0;
     m.prov = tag;
   }
-  if (!decode_payload(r, m.payload)) return std::nullopt;
+  if (!get_payload(r, m.payload)) return std::nullopt;
   if (!r.at_end()) return std::nullopt;  // trailing garbage
   return m;
 }

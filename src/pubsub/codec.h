@@ -1,10 +1,11 @@
-// Binary wire codec for every message the brokers exchange.
+// Binary wire codec for every message brokers and edge clients exchange.
 //
-// The discrete-event simulator and the in-process transport pass C++
-// objects around, but durable queues (Sec. 3.5's fault masking) and real
-// network transports need bytes. The format is a simple little-endian
-// tag-length encoding; decoding is total — malformed input yields
-// std::nullopt, never undefined behaviour.
+// The discrete-event simulator passes C++ objects around, but durable queues
+// (Sec. 3.5's fault masking) and the TCP transport need bytes. The format is
+// a simple little-endian encoding: the envelope, then the payload's tag (its
+// Payload variant index + 1) and its fields() in order (pubsub/messages.h).
+// Decoding is total — malformed input yields std::nullopt, never undefined
+// behaviour.
 #pragma once
 
 #include <cstdint>

@@ -1,73 +1,23 @@
 #include "pubsub/messages.h"
 
+#include <type_traits>
+
 namespace tmps {
+
 namespace {
 
-struct TypeNameVisitor {
-  std::string_view operator()(const AdvertiseMsg&) const { return "adv"; }
-  std::string_view operator()(const UnadvertiseMsg&) const { return "unadv"; }
-  std::string_view operator()(const SubscribeMsg&) const { return "sub"; }
-  std::string_view operator()(const UnsubscribeMsg&) const { return "unsub"; }
-  std::string_view operator()(const PublishMsg&) const { return "pub"; }
-  std::string_view operator()(const MoveNegotiateMsg&) const {
-    return "move-negotiate";
-  }
-  std::string_view operator()(const MoveApproveMsg&) const {
-    return "move-approve";
-  }
-  std::string_view operator()(const MoveRejectMsg&) const {
-    return "move-reject";
-  }
-  std::string_view operator()(const MoveStateMsg&) const {
-    return "move-state";
-  }
-  std::string_view operator()(const MoveAckMsg&) const { return "move-ack"; }
-  std::string_view operator()(const MoveAbortMsg&) const {
-    return "move-abort";
-  }
-  std::string_view operator()(const BufferedStateMsg&) const {
-    return "buffered-state";
-  }
-  std::string_view operator()(const TradMoveRequestMsg&) const {
-    return "trad-move-request";
-  }
-  std::string_view operator()(const TradReadyMsg&) const {
-    return "trad-ready";
-  }
-  std::string_view operator()(const TradRejectMsg&) const {
-    return "trad-reject";
-  }
-  std::string_view operator()(const RepairDigestMsg&) const {
-    return "repair-digest";
-  }
-  std::string_view operator()(const RepairRequestMsg&) const {
-    return "repair-request";
-  }
-  std::string_view operator()(const RepairProbeMsg&) const {
-    return "repair-probe";
-  }
-  std::string_view operator()(const RepairVerdictMsg&) const {
-    return "repair-verdict";
-  }
-  std::string_view operator()(const SessionOpenMsg&) const {
-    return "session-open";
-  }
-  std::string_view operator()(const SessionResumeMsg&) const {
-    return "session-resume";
-  }
-  std::string_view operator()(const SessionAckMsg&) const {
-    return "session-ack";
-  }
-  std::string_view operator()(const SessionHeartbeatMsg&) const {
-    return "session-heartbeat";
-  }
-  std::string_view operator()(const SessionCloseMsg&) const {
-    return "session-close";
-  }
-  std::string_view operator()(const SessionForwardMsg&) const {
-    return "session-forward";
-  }
+template <class Variant>
+struct PayloadNames;
+
+template <class... M>
+struct PayloadNames<std::variant<M...>> {
+  static constexpr std::string_view kNames[] = {M::kName...};
 };
+
+/// Index of PublishMsg, the last routing payload.
+constexpr std::size_t kLastRouting = 4;
+static_assert(std::is_same_v<std::variant_alternative_t<kLastRouting, Payload>,
+                             PublishMsg>);
 
 }  // namespace
 
@@ -100,16 +50,10 @@ const char* to_string(SessionVerdict v) {
 }
 
 std::string_view Message::type_name() const {
-  return std::visit(TypeNameVisitor{}, payload);
+  return PayloadNames<Payload>::kNames[payload.index()];
 }
 
-bool Message::is_control() const {
-  return !std::holds_alternative<AdvertiseMsg>(payload) &&
-         !std::holds_alternative<UnadvertiseMsg>(payload) &&
-         !std::holds_alternative<SubscribeMsg>(payload) &&
-         !std::holds_alternative<UnsubscribeMsg>(payload) &&
-         !std::holds_alternative<PublishMsg>(payload);
-}
+bool Message::is_control() const { return payload.index() > kLastRouting; }
 
 std::string to_string(const Message& m) {
   std::string s = "msg#" + std::to_string(m.id) + " " +

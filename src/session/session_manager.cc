@@ -256,11 +256,7 @@ void SessionManager::on_resume(BrokerId from, const SessionResumeMsg& m,
       if (resumes_ctr_) resumes_ctr_->inc();
       ack.verdict = SessionVerdict::Moving;
       ack.txn = ms.txn;
-      if (s.will) {
-        // The will re-homes with the session.
-        ack.has_will = true;
-        ack.will = *s.will;
-      }
+      ack.will = s.will;  // the will re-homes with the session
       answer(m.at, std::move(ack), out);
       return;
     }
@@ -313,7 +309,7 @@ void SessionManager::on_ack(const SessionAckMsg& m, Outputs& out) {
       s.move_txn = m.txn;
       if (s.attach_since == 0) s.attach_since = now();
       if (s.opened_at == 0) s.opened_at = now();
-      if (m.has_will) s.will = m.will;
+      if (m.will) s.will = m.will;
       break;
     }
     case SessionVerdict::Forwarding: {
@@ -348,9 +344,7 @@ void SessionManager::on_forward(const SessionForwardMsg& m) {
 
 void SessionManager::on_open_frame(const SessionOpenMsg& m, Outputs& out) {
   if (!engine_->find_client(m.client)) engine_->connect_client(m.client);
-  std::optional<Publication> will;
-  if (m.has_will) will = m.will;
-  const SessionToken token = open(m.client, std::move(will));
+  const SessionToken token = open(m.client, m.will);
   SessionAckMsg ack;
   ack.token = token;
   ack.client = m.client;

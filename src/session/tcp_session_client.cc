@@ -7,46 +7,12 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 
 #include "pubsub/codec.h"
+#include "transport/framing.h"
 #include "transport/tcp_transport.h"
 
 namespace tmps::session {
-
-namespace {
-
-bool write_full(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-bool read_full(int fd, void* data, std::size_t n) {
-  char* p = static_cast<char*>(data);
-  while (n > 0) {
-    const ssize_t k = ::recv(fd, p, n, 0);
-    if (k <= 0) {
-      if (k < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-constexpr std::uint32_t kMaxFrame = 16u << 20;
-
-}  // namespace
 
 TcpSessionClient::TcpSessionClient(ClientId id, Options opt)
     : id_(id),
@@ -113,24 +79,15 @@ bool TcpSessionClient::send_frame(const Payload& payload) {
     msg.id = next_msg_++;
   }
   msg.payload = payload;
-  const std::string body = encode_message(msg);
-  const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 4;
   std::string frame;
-  frame.reserve(4 + len);
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  const std::uint32_t sender = 0;  // clients have no broker id
-  frame.append(reinterpret_cast<const char*>(&sender), 4);
-  frame.append(body);
+  append_frame(frame, 0, msg);  // sender 0: clients have no broker id
   return write_full(fd, frame.data(), frame.size());
 }
 
 bool TcpSessionClient::open_session(const std::optional<Publication>& will) {
   SessionOpenMsg m;
   m.client = id_;
-  if (will) {
-    m.has_will = true;
-    m.will = *will;
-  }
+  m.will = will;
   return send_frame(m);
 }
 
@@ -205,14 +162,9 @@ std::vector<Publication> TcpSessionClient::deliveries() const {
 }
 
 void TcpSessionClient::reader_loop(int fd) {
-  while (true) {
-    std::uint32_t len = 0;
-    if (!read_full(fd, &len, sizeof(len))) break;
-    if (len < 4 || len > kMaxFrame) break;
-    std::string frame(len, '\0');
-    if (!read_full(fd, frame.data(), len)) break;
-    const std::optional<Message> msg =
-        decode_message(std::string_view(frame).substr(4));
+  Frame frame;
+  while (read_frame(fd, frame)) {
+    const std::optional<Message> msg = decode_message(frame.message());
     if (!msg) continue;
     std::lock_guard lock(mu_);
     if (const auto* ack = std::get_if<SessionAckMsg>(&msg->payload)) {

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "transport/framing.h"
+
 namespace tmps {
 
 namespace {
@@ -21,20 +23,6 @@ const char* reason_phrase(int status) {
     case 405: return "Method Not Allowed";
     default: return "Internal Server Error";
   }
-}
-
-bool write_full(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
 }
 
 }  // namespace

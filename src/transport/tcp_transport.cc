@@ -8,48 +8,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <cerrno>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "pubsub/codec.h"
+#include "transport/framing.h"
 
 namespace tmps {
-
-namespace {
-
-bool write_full(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-bool read_full(int fd, void* data, std::size_t n) {
-  char* p = static_cast<char*>(data);
-  while (n > 0) {
-    const ssize_t k = ::recv(fd, p, n, 0);
-    if (k <= 0) {
-      if (k < 0 && errno == EINTR) continue;
-      return false;  // EOF or error
-    }
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-constexpr std::uint32_t kMaxFrame = 16u << 20;  // 16 MiB sanity bound
-
-}  // namespace
 
 TcpTransport::TcpTransport(const Overlay& overlay, std::uint16_t base_port,
                            BrokerConfig broker_cfg, MobilityConfig mobility_cfg)
@@ -332,14 +299,9 @@ void TcpTransport::accept_loop(BrokerId b) {
 }
 
 void TcpTransport::client_reader_loop(BrokerId self, ClientId client, int fd) {
-  while (running_.load()) {
-    std::uint32_t len = 0;
-    if (!read_full(fd, &len, sizeof(len))) break;
-    if (len < 4 || len > kMaxFrame) break;
-    std::string frame(len, '\0');
-    if (!read_full(fd, frame.data(), len)) break;
-    const std::optional<Message> msg =
-        decode_message(std::string_view(frame).substr(4));
+  Frame frame;
+  while (running_.load() && read_frame(fd, frame)) {
+    const std::optional<Message> msg = decode_message(frame.message());
     if (!msg) {
       ++decode_failures_;
       decode_failures_metric_->inc();
@@ -378,15 +340,8 @@ void TcpTransport::client_reader_loop(BrokerId self, ClientId client, int fd) {
 
 bool TcpTransport::send_to_client(BrokerId b, ClientId client,
                                   const Message& msg) {
-  const std::string body = encode_message(msg);
-  const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 4;
   std::string frame;
-  frame.reserve(4 + len);
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  const std::uint32_t from32 = b;
-  frame.append(reinterpret_cast<const char*>(&from32), 4);
-  frame.append(body);
-
+  append_frame(frame, b, msg);
   Node& node = *nodes_[b];
   std::lock_guard lock(node.clients_mu);
   auto it = node.client_fd.find(client);
@@ -412,29 +367,23 @@ void TcpTransport::add_admin_route(BrokerId b, std::string path,
 }
 
 void TcpTransport::reader_loop(BrokerId self, BrokerId peer, int fd) {
-  while (running_.load()) {
-    std::uint32_t len = 0;
-    if (!read_full(fd, &len, sizeof(len))) return;
-    if (len < 4 || len > kMaxFrame) return;  // protocol violation: drop link
-    std::string frame(len, '\0');
-    if (!read_full(fd, frame.data(), len)) return;
-
-    std::uint32_t from = 0;
-    std::memcpy(&from, frame.data(), 4);
+  Frame frame;
+  // A closed link or a length out of bounds ends the loop (link dropped).
+  while (running_.load() && read_frame(fd, frame)) {
     std::optional<Message> msg;
     {
       TMPS_PROF_STAGE(nodes_[self]->broker->profiler(),
                       obs::Stage::kDecode);
-      msg = decode_message(std::string_view(frame).substr(4));
+      msg = decode_message(frame.message());
     }
-    if (from != peer || !msg) {
+    if (frame.sender != peer || !msg) {
       ++decode_failures_;
       decode_failures_metric_->inc();
       retire(kNoTxn);  // its cause, if any, is unknowable now
       continue;
     }
     frames_received_->inc();
-    process_frame(self, from, *msg);
+    process_frame(self, frame.sender, *msg);
   }
 }
 
@@ -473,12 +422,7 @@ void TcpTransport::flush(BrokerId from) {
       std::string frames;
       for (const Message& msg : batch) {
         TMPS_PROF_STAGE(prof, obs::Stage::kEncode);
-        const std::string body = encode_message(msg);
-        const std::uint32_t len = static_cast<std::uint32_t>(body.size()) + 4;
-        const std::uint32_t from32 = from;
-        frames.append(reinterpret_cast<const char*>(&len), 4);
-        frames.append(reinterpret_cast<const char*>(&from32), 4);
-        frames.append(body);
+        append_frame(frames, from, msg);
       }
       bool ok = false;
       {

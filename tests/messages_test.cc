@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "pubsub/workload.h"
 #include "routing/hop.h"
@@ -10,31 +13,25 @@
 namespace tmps {
 namespace {
 
+template <std::size_t... I>
+std::vector<std::string_view> type_names(std::index_sequence<I...>) {
+  std::vector<std::string_view> names;
+  Message m;
+  ((m.payload.emplace<I>(), names.push_back(m.type_name())), ...);
+  return names;
+}
+
+// Every Payload alternative, appended ones included, has a distinct,
+// non-empty name: the flight recorder, failure injection and Stats key on it.
 TEST(Messages, TypeNamesAreDistinct) {
-  const Subscription sub{{1, 1}, workload_filter(WorkloadKind::Covered, 1)};
-  const Advertisement adv{{1, 2}, full_space_advertisement()};
-  std::vector<Payload> payloads = {
-      AdvertiseMsg{adv},         UnadvertiseMsg{adv.id},
-      SubscribeMsg{sub},         UnsubscribeMsg{sub.id},
-      PublishMsg{},              MoveNegotiateMsg{},
-      MoveApproveMsg{},          MoveRejectMsg{},
-      MoveStateMsg{},            MoveAckMsg{},
-      MoveAbortMsg{},            BufferedStateMsg{},
-      TradMoveRequestMsg{},      TradReadyMsg{},
-      TradRejectMsg{},           RepairDigestMsg{},
-      RepairRequestMsg{},        RepairProbeMsg{},
-      RepairVerdictMsg{},        SessionOpenMsg{},
-      SessionResumeMsg{},        SessionAckMsg{},
-      SessionHeartbeatMsg{},     SessionCloseMsg{},
-      SessionForwardMsg{},
-  };
-  std::set<std::string> names;
-  for (auto& p : payloads) {
-    Message m;
-    m.payload = p;
-    names.insert(std::string(m.type_name()));
+  const std::vector<std::string_view> names =
+      type_names(std::make_index_sequence<std::variant_size_v<Payload>>());
+  std::set<std::string_view> distinct;
+  for (const std::string_view name : names) {
+    EXPECT_FALSE(name.empty());
+    distinct.insert(name);
   }
-  EXPECT_EQ(names.size(), payloads.size());
+  EXPECT_EQ(distinct.size(), names.size());
 }
 
 TEST(Messages, RoutingPayloadsAreNotControl) {
