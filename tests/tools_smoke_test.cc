@@ -4,6 +4,7 @@
 // Binary locations are injected by CMake (TMPS_TRACE_INSPECT_BIN /
 // TMPS_AUDIT_BIN).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -37,7 +38,10 @@ int run_capture(const std::string& cmd, const std::string& out_file,
 class ToolsSmoke : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(::testing::TempDir() + "/tools_smoke");
+    // One directory per process: ctest runs each test in its own process,
+    // and parallel runs must not interleave their trace files.
+    dir_ = new std::string(::testing::TempDir() + "/tools_smoke_" +
+                           std::to_string(::getpid()));
     std::system(("mkdir -p " + *dir_).c_str());
     ScenarioConfig cfg;
     cfg.mobility.protocol = MobilityProtocol::Reconfiguration;
@@ -58,6 +62,7 @@ class ToolsSmoke : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
+    std::system(("rm -rf " + *dir_).c_str());
     delete dir_;
     dir_ = nullptr;
   }
