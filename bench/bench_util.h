@@ -71,11 +71,9 @@ struct RunResult {
   std::uint64_t mover_losses = 0;
   std::uint64_t mover_expected = 0;
   /// Provenance-derived end-to-end delivery latency (publish at the origin
-  /// broker to delivery at the edge broker), reported twice from the same
-  /// samples: bucket-interpolated percentiles of the
-  /// pub_delivery_latency_seconds histogram, and the Stats Summary fed by
-  /// the broker latency sink. The pair must agree within log-bucket
-  /// quantization — a live cross-check that both pipelines see every sample.
+  /// broker to delivery at the edge broker): bucket-interpolated
+  /// percentiles of the pub_delivery_latency_seconds histogram, the one
+  /// delivery-latency pipeline (fill_delivery_latency).
   std::uint64_t deliveries = 0;
   double dlv_p50_ms = 0, dlv_p95_ms = 0, dlv_p99_ms = 0;
 };

@@ -22,6 +22,7 @@
 #include "bench_json.h"
 #include "pubsub/workload.h"
 #include "routing/routing_tables.h"
+#include "routing_reference.h"
 
 namespace tmps {
 namespace {
@@ -40,11 +41,11 @@ RoutingTables make_tables(WorkloadKind k, int n, std::uint64_t seed) {
     for (int i = 1; i <= 10; ++i) {
       const Subscription s{{static_cast<ClientId>(1000 + g * 10 + i), 1},
                            workload_filter_at(k, i, g, seed)};
-      auto& e = rt.upsert_sub(s, Hop::of_broker(2));
+      auto& e = rt.prt().upsert(s, Hop::of_broker(2));
       e.forwarded_to.insert(Hop::of_broker(3));
     }
   }
-  rt.upsert_adv({{1, 1}, full_space_advertisement()}, Hop::of_broker(3));
+  rt.srt().upsert({{1, 1}, full_space_advertisement()}, Hop::of_broker(3));
   return rt;
 }
 
@@ -67,9 +68,10 @@ double ns_per_query(F&& f, int ops) {
   }
 }
 
-std::vector<EntityId> ids_of(const std::vector<SubEntry*>& es) {
+template <class Entry>
+std::vector<EntityId> ids_of(const std::vector<Entry*>& es) {
   std::vector<EntityId> out;
-  for (const SubEntry* e : es) out.push_back(e->sub.id);
+  for (const Entry* e : es) out.push_back(e->item.id);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -109,21 +111,21 @@ Timings measure(RoutingTables& rt, WorkloadKind k, int n,
   // Correctness gate first: every timed query must agree with its oracle.
   for (int q = 0; q < kQueries; ++q) {
     const SubscriptionId probe{9999, static_cast<std::uint32_t>(q + 1)};
-    die_on_mismatch(rt.sub_covered_on_link(probe, narrow[q], link) ==
-                        rt.sub_covered_on_link_scan(probe, narrow[q], link),
-                    "sub_covered_on_link", k, n, q);
+    die_on_mismatch(rt.prt().covered_on_link(probe, narrow[q], link) ==
+                        covered_on_link_scan(rt.prt(), probe, narrow[q], link),
+                    "covered_on_link", k, n, q);
     die_on_mismatch(
-        ids_of(rt.strictly_covered_subs_on_link(probe, wide[q], link)) ==
-            ids_of(rt.strictly_covered_subs_on_link_scan(probe, wide[q],
-                                                         link)),
-        "strictly_covered_subs_on_link", k, n, q);
+        ids_of(rt.prt().strictly_covered_on_link(probe, wide[q], link)) ==
+            ids_of(strictly_covered_on_link_scan(rt.prt(), probe, wide[q],
+                                                 link)),
+        "strictly_covered_on_link", k, n, q);
   }
 
   Timings t;
   t.covered_index_ns = ns_per_query(
       [&] {
         for (int q = 0; q < kQueries; ++q) {
-          volatile bool r = rt.sub_covered_on_link(
+          volatile bool r = rt.prt().covered_on_link(
               {9999, static_cast<std::uint32_t>(q + 1)}, narrow[q], link);
           (void)r;
         }
@@ -132,8 +134,9 @@ Timings measure(RoutingTables& rt, WorkloadKind k, int n,
   t.covered_scan_ns = ns_per_query(
       [&] {
         for (int q = 0; q < kQueries; ++q) {
-          volatile bool r = rt.sub_covered_on_link_scan(
-              {9999, static_cast<std::uint32_t>(q + 1)}, narrow[q], link);
+          volatile bool r = covered_on_link_scan(
+              rt.prt(), {9999, static_cast<std::uint32_t>(q + 1)}, narrow[q],
+              link);
           (void)r;
         }
       },
@@ -141,7 +144,7 @@ Timings measure(RoutingTables& rt, WorkloadKind k, int n,
   t.strict_index_ns = ns_per_query(
       [&] {
         for (int q = 0; q < kQueries; ++q) {
-          auto r = rt.strictly_covered_subs_on_link(
+          auto r = rt.prt().strictly_covered_on_link(
               {9999, static_cast<std::uint32_t>(q + 1)}, wide[q], link);
           (void)r;
         }
@@ -150,8 +153,9 @@ Timings measure(RoutingTables& rt, WorkloadKind k, int n,
   t.strict_scan_ns = ns_per_query(
       [&] {
         for (int q = 0; q < kQueries; ++q) {
-          auto r = rt.strictly_covered_subs_on_link_scan(
-              {9999, static_cast<std::uint32_t>(q + 1)}, wide[q], link);
+          auto r = strictly_covered_on_link_scan(
+              rt.prt(), {9999, static_cast<std::uint32_t>(q + 1)}, wide[q],
+              link);
           (void)r;
         }
       },

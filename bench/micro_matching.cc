@@ -10,6 +10,7 @@
 #include "pubsub/workload.h"
 #include "routing/overlay.h"
 #include "routing/routing_tables.h"
+#include "routing_reference.h"
 
 namespace tmps {
 namespace {
@@ -21,11 +22,11 @@ RoutingTables make_tables(std::int64_t families) {
       const Subscription s{{static_cast<ClientId>(1000 + g * 10 + i),
                             1},
                            workload_filter(WorkloadKind::Covered, i, g)};
-      auto& e = rt.upsert_sub(s, Hop::of_broker(2));
+      auto& e = rt.prt().upsert(s, Hop::of_broker(2));
       e.forwarded_to.insert(Hop::of_broker(3));
     }
   }
-  rt.upsert_adv({{1, 1}, full_space_advertisement()}, Hop::of_broker(3));
+  rt.srt().upsert({{1, 1}, full_space_advertisement()}, Hop::of_broker(3));
   return rt;
 }
 
@@ -43,9 +44,9 @@ void BM_PublicationMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_PublicationMatching)->Arg(1)->Arg(10)->Arg(40)->Arg(100);
 
-// Indexed vs full-scan matching: the equality-predicate index should keep
+// Indexed vs full-scan matching: the counting forwarding index should keep
 // per-publication cost near-flat in the number of covering families, while
-// the scan grows linearly.
+// the reference scan grows linearly.
 void BM_MatchingIndexed(benchmark::State& state) {
   const auto rt = make_tables(state.range(0));
   std::mt19937_64 rng(1);
@@ -54,7 +55,7 @@ void BM_MatchingIndexed(benchmark::State& state) {
   std::uint32_t seq = 0;
   for (auto _ : state) {
     const Publication p = make_publication({1, ++seq}, x(rng), g(rng));
-    benchmark::DoNotOptimize(rt.matching_subs(p));
+    benchmark::DoNotOptimize(rt.match(p).matched);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -68,7 +69,7 @@ void BM_MatchingScan(benchmark::State& state) {
   std::uint32_t seq = 0;
   for (auto _ : state) {
     const Publication p = make_publication({1, ++seq}, x(rng), g(rng));
-    benchmark::DoNotOptimize(rt.matching_subs_scan(p));
+    benchmark::DoNotOptimize(match_scan(rt, p).matched);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -79,7 +80,7 @@ void BM_CoveringCheck(benchmark::State& state) {
   const Filter probe = workload_filter(WorkloadKind::Covered, 5, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rt.sub_covered_on_link({9999, 1}, probe, Hop::of_broker(3)));
+        rt.prt().covered_on_link({9999, 1}, probe, Hop::of_broker(3)));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -89,11 +90,11 @@ void BM_UnquenchScan(benchmark::State& state) {
   auto rt = make_tables(state.range(0));
   // Remove the root of family 0's forwarding and scan for orphans — the
   // expensive step of covering-based unsubscription.
-  SubEntry* root = rt.find_sub({1001, 1});
+  SubEntry* root = rt.prt().find({1001, 1});
   root->forwarded_to.clear();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rt.unquenched_subs_on_link(*root, Hop::of_broker(3)));
+        rt.prt().unquench_candidates(*root, Hop::of_broker(3), rt.link_need()));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -151,8 +152,8 @@ void BM_ShadowInstallCommit(benchmark::State& state) {
                        workload_filter(WorkloadKind::Covered, 1, 0)};
   TxnId txn = 100;
   for (auto _ : state) {
-    rt.install_sub_shadow(s, Hop::of_broker(4), ++txn);
-    rt.commit_shadow(s.id, txn);
+    rt.prt().install_shadow(s, Hop::of_broker(4), ++txn);
+    rt.prt().commit_shadow(s.id, txn);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -46,8 +46,8 @@ int main() {
     node.deliver(3, adv_msg());
     for (std::uint32_t i = 1; i <= 100; ++i) node.deliver(1, sub_msg(i));
     std::printf("  tables: %zu subscriptions, %zu advertisements\n",
-                node.broker().tables().sub_count(),
-                node.broker().tables().adv_count());
+                node.broker().tables().prt().size(),
+                node.broker().tables().srt().size());
     const auto before = fs::file_size(dir / "journal.log");
     node.checkpoint();
     const auto after = fs::file_size(dir / "journal.log");
@@ -66,18 +66,18 @@ int main() {
   {
     DurableNode node(2, &overlay, dir);
     std::printf("  before recovery: %zu subscriptions (fresh process)\n",
-                node.broker().tables().sub_count());
+                node.broker().tables().prt().size());
     int redelivered = 0;
     node.broker().set_notify_sink(
         [&](ClientId, const Publication&) { ++redelivered; });
     const auto outputs = node.recover();
     std::printf("  after recovery: %zu subscriptions, %zu advertisements\n",
-                node.broker().tables().sub_count(),
-                node.broker().tables().adv_count());
+                node.broker().tables().prt().size(),
+                node.broker().tables().srt().size());
     std::printf("  tail replay emitted %zu forwarded message(s)\n",
                 outputs.size());
-    const bool ok = node.broker().tables().sub_count() == 110 &&
-                    node.broker().tables().adv_count() == 1 &&
+    const bool ok = node.broker().tables().prt().size() == 110 &&
+                    node.broker().tables().srt().size() == 1 &&
                     !outputs.empty();
     std::printf("%s\n", ok ? "recovery complete: no state or messages lost"
                            : "RECOVERY FAILED");

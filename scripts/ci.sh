@@ -7,8 +7,9 @@
 #   2. an AddressSanitizer+UBSan build (-DTMPS_SANITIZE=address), which has
 #      caught lifetime bugs the plain run cannot;
 #   3. a ThreadSanitizer build (-DTMPS_SANITIZE=thread) scoped to the
-#      threaded code paths: the TCP transport, the HTTP admin endpoints
-#      and the broker fixtures they drive;
+#      threaded code paths: the TCP transport, the HTTP admin endpoints,
+#      the broker fixtures they drive, the TCP session client/host and the
+#      flight recorder's concurrent writers and readers;
 #   4. an audit leg: the fig09 workload sweep with tracing and the embedded
 #      movement-invariant auditor enabled, re-checked from the emitted JSONL
 #      files by tools/tmps_audit. Any invariant violation fails the leg.
@@ -101,7 +102,7 @@ run_suite build-asan -DTMPS_SANITIZE=address
 # single-threaded; running the whole suite under TSan would triple CI time
 # for no extra coverage).
 run_suite build-tsan \
-  --filter '^(TcpTest|HttpAdmin|BrokerChain|BrokerCovering)' \
+  --filter '^(TcpTest|HttpAdmin|BrokerChain|BrokerCovering|SessionTcp|FlightRecorder)' \
   -DTMPS_SANITIZE=thread
 
 echo "=== audit leg: fig09 under the movement-invariant auditor ==="

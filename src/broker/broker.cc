@@ -272,9 +272,9 @@ void Broker::apply_delta(const RoutingDelta& delta, TxnId cause, Outputs& out) {
   for (const RoutingOp& op : delta.ops) {
     switch (op.kind) {
       case RoutingOp::Kind::kForwardSub: {
-        const SubEntry* e = tables_.find_sub(op.id);
+        const SubEntry* e = tables_.prt().find(op.id);
         if (!e) break;  // ops reference live entries; defensive only
-        send(op.link.broker, SubscribeMsg{e->sub}, cause, out);
+        send(op.link.broker, SubscribeMsg{e->item}, cause, out);
         if (op.induced) {
           if (covering_unquenches_) covering_unquenches_->inc();
           if (cause != kNoTxn) {
@@ -299,9 +299,9 @@ void Broker::apply_delta(const RoutingDelta& delta, TxnId cause, Outputs& out) {
         }
         break;
       case RoutingOp::Kind::kForwardAdv: {
-        const AdvEntry* e = tables_.find_adv(op.id);
+        const AdvEntry* e = tables_.srt().find(op.id);
         if (!e) break;
-        send(op.link.broker, AdvertiseMsg{e->adv}, cause, out);
+        send(op.link.broker, AdvertiseMsg{e->item}, cause, out);
         if (op.induced) {
           if (covering_unquenches_) covering_unquenches_->inc();
           if (cause != kNoTxn) {
@@ -430,11 +430,10 @@ void Broker::do_publish(Hop from, const Publication& pub, TxnId cause,
 namespace {
 
 template <typename Entry>
-obs::EntrySnap snap_entry(const std::string& id, const std::string& filter,
-                          const Entry& e) {
+obs::EntrySnap snap_entry(const EntityId& id, const Entry& e) {
   obs::EntrySnap snap;
-  snap.id = id;
-  snap.filter = filter;
+  snap.id = to_string(id);
+  snap.filter = e.item.filter.to_string();
   snap.lasthop = e.lasthop.to_string();
   for (const Hop& h : e.forwarded_to) {
     snap.forwarded_to.push_back(h.to_string());
@@ -459,10 +458,10 @@ void Broker::snapshot(obs::BrokerSnapshot& snap) const {
     snap.neighbors.push_back(n);
   }
   for (const auto& [id, e] : tables_.prt()) {
-    snap.prt.push_back(snap_entry(to_string(id), e.sub.filter.to_string(), e));
+    snap.prt.push_back(snap_entry(id, e));
   }
   for (const auto& [id, e] : tables_.srt()) {
-    snap.srt.push_back(snap_entry(to_string(id), e.adv.filter.to_string(), e));
+    snap.srt.push_back(snap_entry(id, e));
   }
   // Deterministic order: the tables are unordered maps.
   auto by_id = [](const obs::EntrySnap& a, const obs::EntrySnap& b) {

@@ -47,13 +47,8 @@ struct BrokerConfig {
     double client_cooldown = 30.0;
     /// Hard per-client migration budget per run; 0 = unlimited.
     std::size_t max_moves_per_client = 2;
-    /// Concurrent movement transactions the balancer keeps in flight.
-    std::size_t max_inflight = 4;
     /// Migration pairs selected per planning cycle.
     std::size_t max_moves_per_cycle = 4;
-    /// Global pause after an aborted/rejected movement (3PC aborts and
-    /// FailureInjector runs must not turn into a retry storm).
-    double abort_backoff = 10.0;
     /// Target-selection penalty per overlay hop between source and target,
     /// in units of mean load (prefers short movement paths).
     double path_penalty = 0.05;
@@ -91,11 +86,6 @@ struct BrokerConfig {
     /// persisted this many consecutive sweeps; additive repairs (re-issuing
     /// a missing forward) are idempotent and fire immediately.
     std::uint32_t confirm_rounds = 2;
-    /// Send neighbour digests every Nth sweep; 0 disables digest exchange.
-    std::uint32_t digest_every = 1;
-    /// Reconcile quench state: re-issue subscriptions/advertisements that
-    /// should be forwarded on a link but are not (covering-safe mobility).
-    bool reconcile_quench = true;
   };
   Repair repair;
 
@@ -113,19 +103,17 @@ struct BrokerConfig {
     /// Grace window after a disconnect before the session expires, fires its
     /// last-will and is garbage-collected.
     double grace = 30.0;
-    /// Caps on the per-session disconnected-operation buffer. Zero means
-    /// unlimited; bytes are encoded wire size, age is in host seconds.
+    /// Cap on the per-session disconnected-operation buffer (notifications;
+    /// zero means unlimited). The byte cap is fixed at 256 KiB of encoded
+    /// wire size, with no age cap.
     std::size_t buffer_max_count = 1024;
-    std::size_t buffer_max_bytes = 256 * 1024;
-    double buffer_max_age = 0.0;
     /// Resume at a broker other than the session's home initiates a movement
     /// transaction toward the new broker (connectivity-triggered mobility).
+    /// When the movement is refused (or not attempted), the home broker
+    /// resumes the stub and forwards deliveries to the broker the client
+    /// reattached to.
     bool move_on_resume = true;
-    /// When the movement is refused, the home broker resumes the stub and
-    /// forwards deliveries to the broker the client reattached to. Off means
-    /// the resume is answered Resumed and deliveries wait at the home.
-    bool forward_on_refusal = true;
-    /// Cadence of the session timer sweep (liveness, grace, buffer age).
+    /// Cadence of the session timer sweep (liveness, grace).
     double tick_interval = 1.0;
     /// First tick fires this long after start().
     double start_delay = 0.0;
@@ -156,8 +144,6 @@ struct BrokerConfig {
     /// Cadence of windowed time-series snapshots taken by the host (GET
     /// /timeseries, timeseries.jsonl); 0 disables ticking.
     double timeseries_interval = 0.0;
-    /// Windows retained in the time-series ring.
-    std::size_t timeseries_capacity = 120;
     /// Publish-path stage profiler (obs/profiler.h). Off by default: the
     /// broker only constructs a StageProfiler when set, so the disabled
     /// cost is a null check per probe site.

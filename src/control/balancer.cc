@@ -7,6 +7,16 @@
 
 namespace tmps::control {
 
+namespace {
+
+/// Concurrent movement transactions the balancer keeps in flight.
+constexpr std::size_t kMaxInflight = 4;
+/// Global pause (host seconds) after an aborted/rejected movement: 3PC
+/// aborts and injected failures must not turn into a retry storm.
+constexpr double kAbortBackoff = 10.0;
+
+}  // namespace
+
 Balancer::Balancer(ControlConfig cfg, RuntimeEnv& env, const Overlay& overlay,
                    std::map<BrokerId, MobilityEngine*> engines)
     : cfg_(cfg),
@@ -60,8 +70,8 @@ std::map<BrokerId, BrokerSignals> Balancer::gather_signals() const {
       s.deliveries = m->counter_value("broker_deliveries_total", labels);
     }
     const RoutingTables& tables = engine->broker().tables();
-    s.prt = tables.sub_count();
-    s.srt = tables.adv_count();
+    s.prt = tables.prt().size();
+    s.srt = tables.srt().size();
     s.clients = engine->hosted_clients();
     if (backlog_) s.backlog_seconds = backlog_(b);
   }
@@ -90,7 +100,7 @@ std::vector<ClientInfo> Balancer::gather_clients() const {
         bool this_one_covered = false;
         for (const auto& [sid, e] : tables.prt()) {
           if (sid.client == id || e.shadow_only) continue;
-          if (e.sub.filter.covers(sub.filter)) {
+          if (e.item.filter.covers(sub.filter)) {
             this_one_covered = true;
             break;
           }
@@ -112,7 +122,7 @@ void Balancer::execute(const std::vector<MoveDecision>& plan) {
   // applied as coalesced forwarding-index batches (RoutingTables::
   // apply_batch) rather than per-entry.
   for (const MoveDecision& d : plan) {
-    if (inflight_.size() >= cfg_.max_inflight) break;
+    if (inflight_.size() >= kMaxInflight) break;
     MobilityEngine* engine = engines_.at(d.from);
     MobilityEngine::Outputs out;
     const MoveStart res = engine->try_initiate_move(d.client, d.to, out);
@@ -166,7 +176,7 @@ void Balancer::on_movement(const MovementRecord& rec) {
     if (c_committed_) c_committed_->inc();
   } else {
     ++state_.aborted;
-    state_.backoff_until = env_->now() + cfg_.abort_backoff;
+    state_.backoff_until = env_->now() + kAbortBackoff;
     if (c_aborted_) c_aborted_->inc();
   }
   TMPS_EVENT(env_->tracer(), rec.txn, "control:resolved",

@@ -9,8 +9,8 @@
 // the balancer decides, so a bad policy costs messages, never correctness.
 // Safety valves on the execution side:
 //
-//   * at most `max_inflight` balancer-initiated transactions at once;
-//   * a global `abort_backoff` pause after any abort/reject (an aborting
+//   * at most 4 balancer-initiated transactions at once;
+//   * a global 10 s pause after any abort/reject (an aborting
 //     environment — admission refusals, injected failures, timeouts — must
 //     not turn into a retry storm);
 //   * ticks stop at the host-provided deadline, so a draining simulation

@@ -413,13 +413,10 @@ void MobilityEngine::install_shadows(const MoveApproveMsg& m) {
                           : toward(m.target);
   // Shadow installs for fresh entries file into the forwarding index; batch
   // the whole profile's worth.
-  RoutingTables::MutationBatch batch(broker_->tables());
-  for (const auto& s : m.subs) {
-    broker_->tables().install_sub_shadow(s, new_hop, m.txn);
-  }
-  for (const auto& a : m.advs) {
-    broker_->tables().install_adv_shadow(a, new_hop, m.txn);
-  }
+  RoutingTables& rt = broker_->tables();
+  RoutingTables::MutationBatch batch(rt);
+  for (const auto& s : m.subs) rt.prt().install_shadow(s, new_hop, m.txn);
+  for (const auto& a : m.advs) rt.srt().install_shadow(a, new_hop, m.txn);
 }
 
 void MobilityEngine::on_approve_hop(BrokerId from, const Message& msg,
@@ -502,25 +499,26 @@ void MobilityEngine::commit_shadows_here(const MoveStateMsg& m, Outputs& out) {
   RoutingTables& rt = broker_->tables();
   const bool at_source = (self == m.source);
 
-  for (const auto& id : m.sub_ids) {
-    SubEntry* e = rt.find_sub(id);
-    if (!e || e->shadow_txn != m.txn) continue;
-    rt.commit_shadow(id, m.txn);
-    // Post-move the subscription arrives from the target side, so it is no
-    // longer "forwarded" in that direction — and it now flows towards the
-    // source side instead.
+  // Commits `id`'s shadow for this transaction; null when it has none.
+  const auto commit = [&](auto& table,
+                          const EntityId& id) -> decltype(table.find(id)) {
+    auto* e = table.find(id);
+    if (!e || e->shadow_txn != m.txn) return nullptr;
+    table.commit_shadow(id, m.txn);
+    // Post-move the item arrives from the target side, so it is no longer
+    // "forwarded" in that direction — and it now flows towards the source
+    // side instead.
     e->forwarded_to.erase(e->lasthop);
     if (!at_source) e->forwarded_to.insert(toward(m.source));
-  }
+    return e;
+  };
+  for (const auto& id : m.sub_ids) commit(rt.prt(), id);
   for (const auto& id : m.adv_ids) {
-    AdvEntry* e = rt.find_adv(id);
-    if (!e || e->shadow_txn != m.txn) continue;
-    rt.commit_adv_shadow(id, m.txn);
-    e->forwarded_to.erase(e->lasthop);
-    if (!at_source) e->forwarded_to.insert(toward(m.source));
     // Sec. 4.4's three PRT cases: other clients' subscriptions must now be
     // routed towards the advertisement's new position.
-    fix_prt_for_moved_adv(e->adv, m.target, m.txn, out);
+    if (const AdvEntry* e = commit(rt.srt(), id)) {
+      fix_prt_for_moved_adv(e->item, m.target, m.txn, out);
+    }
   }
 }
 
@@ -534,33 +532,32 @@ void MobilityEngine::fix_prt_for_moved_adv(const Advertisement& adv,
   const ClientId mover = adv.id.client;
 
   // Collect first: case 2 erases entries while we iterate. The candidate
-  // set comes from the covering index (subs_intersecting) instead of a PRT
+  // set comes from the covering index (PRT intersecting) instead of a PRT
   // scan — this hand-off runs once per moved advertisement per path broker,
   // squarely on the movement hot path.
   std::vector<SubscriptionId> intersecting;
-  for (const SubEntry* s : rt.subs_intersecting(adv.filter)) {
+  for (const SubEntry* s : rt.prt().intersecting(adv.filter)) {
     if (s->shadow_only) continue;
-    if (s->sub.id.client == mover) continue;  // the mover's own subscriptions
-                                              // have their own shadow
-                                              // reconfiguration
-    intersecting.push_back(s->sub.id);
+    // The mover's own subscriptions have their own shadow reconfiguration.
+    if (s->item.id.client == mover) continue;
+    intersecting.push_back(s->item.id);
   }
 
   for (const auto& sid : intersecting) {
-    SubEntry* s = rt.find_sub(sid);
+    SubEntry* s = rt.prt().find(sid);
     if (!s) continue;
     if (s->lasthop == suc) {
       // Case 2: the subscription came from the target direction; it is
       // satisfied closer to the new publisher position. Drop it here unless
       // some other advertisement still needs it (index-backed SRT probe).
       bool needed = false;
-      for (const AdvEntry* a : rt.intersecting_advs(s->sub.filter)) {
-        if (a->adv.id != adv.id) {
+      for (const AdvEntry* a : rt.srt().intersecting(s->item.filter)) {
+        if (a->item.id != adv.id) {
           needed = true;
           break;
         }
       }
-      if (!needed) rt.erase_sub(sid);
+      if (!needed) rt.prt().erase(sid);
       continue;
     }
     // Cases 1 and 3: the subscription must reach the advertisement's new
@@ -570,7 +567,7 @@ void MobilityEngine::fix_prt_for_moved_adv(const Advertisement& adv,
       Message wire;
       wire.id = broker_->next_message_id();
       wire.cause = cause;
-      wire.payload = SubscribeMsg{s->sub};
+      wire.payload = SubscribeMsg{s->item};
       out.emplace_back(suc.broker, std::move(wire));
     }
   }
@@ -701,8 +698,8 @@ void MobilityEngine::abort_shadows_here(const MoveAbortMsg& m) {
   // Aborting shadow-only entries erases them from the forwarding index too;
   // coalesce the burst.
   RoutingTables::MutationBatch batch(rt);
-  for (const auto& id : m.sub_ids) rt.abort_shadow(id, m.txn);
-  for (const auto& id : m.adv_ids) rt.abort_adv_shadow(id, m.txn);
+  for (const auto& id : m.sub_ids) rt.prt().abort_shadow(id, m.txn);
+  for (const auto& id : m.adv_ids) rt.srt().abort_shadow(id, m.txn);
 }
 
 void MobilityEngine::finish_source_move(SourceMove& sm, bool committed,

@@ -15,6 +15,21 @@ std::string entity_str(const EntityId& id) {
   return std::to_string(id.client) + ":" + std::to_string(id.seq);
 }
 
+// The per-table parts of a repair: the trace key naming a row, the message
+// that re-issues one, and the broker entry point that retracts one.
+const char* key(const RoutingTables::Prt&) { return "sub"; }
+const char* key(const RoutingTables::Srt&) { return "adv"; }
+Payload reissue(const Subscription& s) { return SubscribeMsg{s}; }
+Payload reissue(const Advertisement& a) { return AdvertiseMsg{a}; }
+void retract(Broker& b, const RoutingTables::Prt&, Hop from,
+             const EntityId& id, RepairEngine::Outputs& out) {
+  b.inject_unsubscribe(from, id, kNoTxn, out);
+}
+void retract(Broker& b, const RoutingTables::Srt&, Hop from,
+             const EntityId& id, RepairEngine::Outputs& out) {
+  b.inject_unadvertise(from, id, kNoTxn, out);
+}
+
 }  // namespace
 
 RepairEngine::RepairEngine(MobilityEngine& engine, RuntimeEnv& env,
@@ -66,10 +81,8 @@ void RepairEngine::sweep() {
   ops += parked;
   ops += sweep_shadows(now, out);
   ops += sweep_orphans(out);
-  if (cfg_.reconcile_quench) ops += sweep_quench(out);
-  if (cfg_.digest_every > 0 && stats_.rounds % cfg_.digest_every == 0) {
-    send_digests(out);
-  }
+  ops += sweep_quench(out);
+  send_digests(out);
   note_ops(ops);
   TMPS_EVENT(tracer_, kNoTxn, "repair:round",
              {{"broker", std::to_string(broker_->id())},
@@ -93,12 +106,13 @@ void RepairEngine::on_repair(BrokerId from, const Message& msg, Outputs& out) {
 std::size_t RepairEngine::sweep_shadows(double now, Outputs& out) {
   RoutingTables& rt = broker_->tables();
   std::set<TxnId> live;
-  for (const auto& [id, e] : rt.prt()) {
-    if (e.shadow_txn != kNoTxn) live.insert(e.shadow_txn);
-  }
-  for (const auto& [id, e] : rt.srt()) {
-    if (e.shadow_txn != kNoTxn) live.insert(e.shadow_txn);
-  }
+  const auto collect = [&live](const auto& table) {
+    for (const auto& [id, e] : table) {
+      if (e.shadow_txn != kNoTxn) live.insert(e.shadow_txn);
+    }
+  };
+  collect(rt.prt());
+  collect(rt.srt());
   std::erase_if(shadow_seen_,
                 [&live](const auto& kv) { return !live.contains(kv.first); });
   stats_.suspect_shadows = live.size();
@@ -143,60 +157,40 @@ std::size_t RepairEngine::sweep_shadows(double now, Outputs& out) {
 
 std::size_t RepairEngine::sweep_orphans(Outputs& out) {
   RoutingTables& rt = broker_->tables();
-  std::vector<std::pair<SubscriptionId, Hop>> dead_subs;
-  std::vector<std::pair<AdvertisementId, Hop>> dead_advs;
-  std::set<SubscriptionId> suspect_subs;
-  std::set<AdvertisementId> suspect_advs;
-
-  for (const auto& [id, e] : rt.prt()) {
-    if (!e.lasthop.is_client()) continue;
-    if (e.shadow_txn != kNoTxn || e.shadow_only) continue;
-    if (engine_->find_client(e.lasthop.client) != nullptr) continue;
-    // The session layer knows more than hosting alone: a detached session
-    // inside its grace window vetoes retraction, an expired one skips the
-    // confirm_rounds aging.
-    const int hint = session_probe_ ? session_probe_(e.lasthop.client) : 0;
-    if (hint == 1) continue;
-    suspect_subs.insert(id);
-    if (hint != 2 && ++orphan_sub_rounds_[id] < cfg_.confirm_rounds) continue;
-    dead_subs.emplace_back(id, e.lasthop);
-  }
-  for (const auto& [id, e] : rt.srt()) {
-    if (!e.lasthop.is_client()) continue;
-    if (e.shadow_txn != kNoTxn || e.shadow_only) continue;
-    if (engine_->find_client(e.lasthop.client) != nullptr) continue;
-    const int hint = session_probe_ ? session_probe_(e.lasthop.client) : 0;
-    if (hint == 1) continue;
-    suspect_advs.insert(id);
-    if (hint != 2 && ++orphan_adv_rounds_[id] < cfg_.confirm_rounds) continue;
-    dead_advs.emplace_back(id, e.lasthop);
-  }
-  // Entries that stopped being suspicious (client reappeared mid-movement,
-  // entry removed) lose their age.
-  std::erase_if(orphan_sub_rounds_, [&suspect_subs](const auto& kv) {
-    return !suspect_subs.contains(kv.first);
-  });
-  std::erase_if(orphan_adv_rounds_, [&suspect_advs](const auto& kv) {
-    return !suspect_advs.contains(kv.first);
-  });
-
-  for (const auto& [id, hop] : dead_subs) {
-    orphan_sub_rounds_.erase(id);
-    TMPS_EVENT(tracer_, kNoTxn, "repair:orphan-retract",
-               {{"broker", std::to_string(broker_->id())},
-                {"sub", entity_str(id)}});
-    broker_->inject_unsubscribe(hop, id, kNoTxn, out);
-    ++stats_.orphans_retracted;
-  }
-  for (const auto& [id, hop] : dead_advs) {
-    orphan_adv_rounds_.erase(id);
-    TMPS_EVENT(tracer_, kNoTxn, "repair:orphan-retract",
-               {{"broker", std::to_string(broker_->id())},
-                {"adv", entity_str(id)}});
-    broker_->inject_unadvertise(hop, id, kNoTxn, out);
-    ++stats_.orphans_retracted;
-  }
-  return dead_subs.size() + dead_advs.size();
+  const auto sweep = [&](const auto& table,
+                         std::map<EntityId, std::uint32_t>& ages) {
+    std::vector<std::pair<EntityId, Hop>> dead;
+    std::set<EntityId> suspects;
+    for (const auto& [id, e] : table) {
+      if (!e.lasthop.is_client()) continue;
+      if (e.shadow_txn != kNoTxn || e.shadow_only) continue;
+      if (engine_->find_client(e.lasthop.client) != nullptr) continue;
+      // The session layer knows more than hosting alone: a detached session
+      // inside its grace window vetoes retraction, an expired one skips the
+      // confirm_rounds aging.
+      const int hint = session_probe_ ? session_probe_(e.lasthop.client) : 0;
+      if (hint == 1) continue;
+      suspects.insert(id);
+      if (hint != 2 && ++ages[id] < cfg_.confirm_rounds) continue;
+      dead.emplace_back(id, e.lasthop);
+    }
+    // Entries that stopped being suspicious (client reappeared mid-movement,
+    // entry removed) lose their age.
+    std::erase_if(ages, [&suspects](const auto& kv) {
+      return !suspects.contains(kv.first);
+    });
+    for (const auto& [id, hop] : dead) {
+      ages.erase(id);
+      TMPS_EVENT(tracer_, kNoTxn, "repair:orphan-retract",
+                 {{"broker", std::to_string(broker_->id())},
+                  {key(table), entity_str(id)}});
+      retract(*broker_, table, hop, id, out);
+      ++stats_.orphans_retracted;
+    }
+    return dead.size();
+  };
+  const std::size_t subs = sweep(rt.prt(), orphan_sub_rounds_);
+  return subs + sweep(rt.srt(), orphan_adv_rounds_);
 }
 
 // --- quench / un-quench reconciliation -------------------------------------------
@@ -207,66 +201,42 @@ std::size_t RepairEngine::sweep_quench(Outputs& out) {
   std::size_t ops = 0;
   for (const BrokerId n : broker_->overlay().neighbors(broker_->id())) {
     const Hop link = Hop::of_broker(n);
-
-    // Subscriptions the SRT says must flow over `link` (an advertisement
-    // from that direction intersects) but that were never forwarded and are
-    // not covered there: quench drift left by a reconfiguration hand-off.
-    std::vector<SubscriptionId> missing_subs;
-    for (const auto& [id, e] : rt.prt()) {
-      if (e.shadow_only || e.shadow_txn != kNoTxn) continue;
-      if (e.lasthop == link) continue;
-      if (e.forwarded_to.contains(link)) continue;
-      if (!rt.link_needed_for(e.sub.filter, link)) continue;
-      if (bc.subscription_covering &&
-          rt.sub_covered_on_link(id, e.sub.filter, link)) {
-        continue;
+    // Rows that must flow over `link` but were never forwarded there and
+    // are not covered there: quench drift left by a reconfiguration
+    // hand-off. A subscription must flow where an advertisement from that
+    // direction intersects it (`need`); advertisements flood every link
+    // except their lasthop.
+    const auto reissue_missing = [&](auto& table, bool covering,
+                                     const RoutingTables::Prt::LinkNeed& need) {
+      std::vector<EntityId> missing;
+      for (const auto& [id, e] : table) {
+        if (e.shadow_only || e.shadow_txn != kNoTxn) continue;
+        if (e.lasthop == link) continue;
+        if (e.forwarded_to.contains(link)) continue;
+        if (need && !need(e.item.filter, link)) continue;
+        if (covering && table.covered_on_link(id, e.item.filter, link)) {
+          continue;
+        }
+        missing.push_back(id);
       }
-      missing_subs.push_back(id);
-    }
-    // Advertisement analogue: advs flood every link except their lasthop
-    // unless covered there.
-    std::vector<AdvertisementId> missing_advs;
-    for (const auto& [id, e] : rt.srt()) {
-      if (e.shadow_only || e.shadow_txn != kNoTxn) continue;
-      if (e.lasthop == link) continue;
-      if (e.forwarded_to.contains(link)) continue;
-      if (bc.advertisement_covering &&
-          rt.adv_covered_on_link(id, e.adv.filter, link)) {
-        continue;
+      for (const auto& id : missing) {
+        auto* e = table.find(id);
+        if (!e) continue;
+        e->forwarded_to.insert(link);
+        Message wire;
+        wire.id = broker_->next_message_id();
+        wire.payload = reissue(e->item);
+        out.emplace_back(n, std::move(wire));
+        TMPS_EVENT(tracer_, kNoTxn, "repair:unquench",
+                   {{"broker", std::to_string(broker_->id())},
+                    {key(table), entity_str(id)},
+                    {"link", std::to_string(n)}});
+        ++stats_.unquenches;
+        ++ops;
       }
-      missing_advs.push_back(id);
-    }
-
-    for (const auto& id : missing_subs) {
-      SubEntry* e = rt.find_sub(id);
-      if (!e) continue;
-      e->forwarded_to.insert(link);
-      Message wire;
-      wire.id = broker_->next_message_id();
-      wire.payload = SubscribeMsg{e->sub};
-      out.emplace_back(n, std::move(wire));
-      TMPS_EVENT(tracer_, kNoTxn, "repair:unquench",
-                 {{"broker", std::to_string(broker_->id())},
-                  {"sub", entity_str(id)},
-                  {"link", std::to_string(n)}});
-      ++stats_.unquenches;
-      ++ops;
-    }
-    for (const auto& id : missing_advs) {
-      AdvEntry* e = rt.find_adv(id);
-      if (!e) continue;
-      e->forwarded_to.insert(link);
-      Message wire;
-      wire.id = broker_->next_message_id();
-      wire.payload = AdvertiseMsg{e->adv};
-      out.emplace_back(n, std::move(wire));
-      TMPS_EVENT(tracer_, kNoTxn, "repair:unquench",
-                 {{"broker", std::to_string(broker_->id())},
-                  {"adv", entity_str(id)},
-                  {"link", std::to_string(n)}});
-      ++stats_.unquenches;
-      ++ops;
-    }
+    };
+    reissue_missing(rt.prt(), bc.subscription_covering, rt.link_need());
+    reissue_missing(rt.srt(), bc.advertisement_covering, {});
   }
   return ops;
 }
@@ -280,23 +250,21 @@ void RepairEngine::send_digests(Outputs& out) {
     RepairDigestMsg d;
     d.round = stats_.rounds;
     d.origin = broker_->id();
-    for (const auto& [id, e] : rt.prt()) {
-      if (e.shadow_txn != kNoTxn || e.shadow_only) {
-        // Mid-movement the neighbour's committed copy may already point
-        // here while ours is still a shadow; the in-flight list vetoes its
-        // orphan aging without claiming a forward we never made.
-        d.in_flight_subs.push_back(id);
-        if (e.shadow_only) continue;
+    const auto claim = [&link](const auto& table, std::vector<EntityId>& ids,
+                               std::vector<EntityId>& in_flight) {
+      for (const auto& [id, e] : table) {
+        if (e.shadow_txn != kNoTxn || e.shadow_only) {
+          // Mid-movement the neighbour's committed copy may already point
+          // here while ours is still a shadow; the in-flight list vetoes its
+          // orphan aging without claiming a forward we never made.
+          in_flight.push_back(id);
+          if (e.shadow_only) continue;
+        }
+        if (e.forwarded_to.contains(link)) ids.push_back(id);
       }
-      if (e.forwarded_to.contains(link)) d.sub_ids.push_back(id);
-    }
-    for (const auto& [id, e] : rt.srt()) {
-      if (e.shadow_txn != kNoTxn || e.shadow_only) {
-        d.in_flight_advs.push_back(id);
-        if (e.shadow_only) continue;
-      }
-      if (e.forwarded_to.contains(link)) d.adv_ids.push_back(id);
-    }
+    };
+    claim(rt.prt(), d.sub_ids, d.in_flight_subs);
+    claim(rt.srt(), d.adv_ids, d.in_flight_advs);
     // Empty digests still go out: "I forward nothing to you" is exactly the
     // claim that lets the neighbour age its orphans.
     broker_->send_unicast(n, std::move(d), kNoTxn, out);
@@ -313,12 +281,15 @@ void RepairEngine::on_digest(BrokerId from, const RepairDigestMsg& m,
   RepairRequestMsg req;
   req.round = m.round;
   req.origin = broker_->id();
-  for (const auto& id : m.sub_ids) {
-    if (rt.find_sub(id) == nullptr) req.sub_ids.push_back(id);
-  }
-  for (const auto& id : m.adv_ids) {
-    if (rt.find_adv(id) == nullptr) req.adv_ids.push_back(id);
-  }
+  const auto request_missing = [](const auto& table,
+                                  const std::vector<EntityId>& claimed,
+                                  std::vector<EntityId>& missing) {
+    for (const auto& id : claimed) {
+      if (table.find(id) == nullptr) missing.push_back(id);
+    }
+  };
+  request_missing(rt.prt(), m.sub_ids, req.sub_ids);
+  request_missing(rt.srt(), m.adv_ids, req.adv_ids);
   if (!req.sub_ids.empty() || !req.adv_ids.empty()) {
     const std::uint64_t n = req.sub_ids.size() + req.adv_ids.size();
     stats_.reissues_requested += n;
@@ -333,55 +304,40 @@ void RepairEngine::on_digest(BrokerId from, const RepairDigestMsg& m,
   // Entries whose lasthop is the sender but which the sender no longer
   // claims: orphans of an interrupted movement. Destructive, so aged across
   // confirm_rounds digests.
-  const std::set<SubscriptionId> claimed_subs(m.sub_ids.begin(),
-                                              m.sub_ids.end());
-  const std::set<AdvertisementId> claimed_advs(m.adv_ids.begin(),
-                                               m.adv_ids.end());
-  const std::set<SubscriptionId> in_flight_subs(m.in_flight_subs.begin(),
-                                                m.in_flight_subs.end());
-  const std::set<AdvertisementId> in_flight_advs(m.in_flight_advs.begin(),
-                                                 m.in_flight_advs.end());
-  std::vector<SubscriptionId> dead_subs;
-  std::vector<AdvertisementId> dead_advs;
-  for (const auto& [id, e] : rt.prt()) {
-    if (e.lasthop != link) continue;
-    if (e.shadow_txn != kNoTxn || e.shadow_only) continue;
-    if (claimed_subs.contains(id) || in_flight_subs.contains(id)) {
-      digest_sub_rounds_.erase(id);
-      continue;
+  const auto retract_unclaimed = [&](const auto& table,
+                                     const std::vector<EntityId>& claimed_ids,
+                                     const std::vector<EntityId>& in_flight_ids,
+                                     std::map<EntityId, std::uint32_t>& ages) {
+    const std::set<EntityId> claimed(claimed_ids.begin(), claimed_ids.end());
+    const std::set<EntityId> in_flight(in_flight_ids.begin(),
+                                       in_flight_ids.end());
+    std::vector<EntityId> dead;
+    for (const auto& [id, e] : table) {
+      if (e.lasthop != link) continue;
+      if (e.shadow_txn != kNoTxn || e.shadow_only) continue;
+      if (claimed.contains(id) || in_flight.contains(id)) {
+        ages.erase(id);
+        continue;
+      }
+      if (++ages[id] < cfg_.confirm_rounds) continue;
+      dead.push_back(id);
     }
-    if (++digest_sub_rounds_[id] < cfg_.confirm_rounds) continue;
-    dead_subs.push_back(id);
-  }
-  for (const auto& [id, e] : rt.srt()) {
-    if (e.lasthop != link) continue;
-    if (e.shadow_txn != kNoTxn || e.shadow_only) continue;
-    if (claimed_advs.contains(id) || in_flight_advs.contains(id)) {
-      digest_adv_rounds_.erase(id);
-      continue;
+    for (const auto& id : dead) {
+      ages.erase(id);
+      TMPS_EVENT(tracer_, kNoTxn, "repair:digest-retract",
+                 {{"broker", std::to_string(broker_->id())},
+                  {key(table), entity_str(id)},
+                  {"from", std::to_string(from)}});
+      retract(*broker_, table, link, id, out);
+      ++stats_.digest_retracts;
     }
-    if (++digest_adv_rounds_[id] < cfg_.confirm_rounds) continue;
-    dead_advs.push_back(id);
-  }
-  for (const auto& id : dead_subs) {
-    digest_sub_rounds_.erase(id);
-    TMPS_EVENT(tracer_, kNoTxn, "repair:digest-retract",
-               {{"broker", std::to_string(broker_->id())},
-                {"sub", entity_str(id)},
-                {"from", std::to_string(from)}});
-    broker_->inject_unsubscribe(link, id, kNoTxn, out);
-    ++stats_.digest_retracts;
-  }
-  for (const auto& id : dead_advs) {
-    digest_adv_rounds_.erase(id);
-    TMPS_EVENT(tracer_, kNoTxn, "repair:digest-retract",
-               {{"broker", std::to_string(broker_->id())},
-                {"adv", entity_str(id)},
-                {"from", std::to_string(from)}});
-    broker_->inject_unadvertise(link, id, kNoTxn, out);
-    ++stats_.digest_retracts;
-  }
-  note_ops(dead_subs.size() + dead_advs.size());
+    return dead.size();
+  };
+  const std::size_t subs = retract_unclaimed(rt.prt(), m.sub_ids,
+                                             m.in_flight_subs,
+                                             digest_sub_rounds_);
+  note_ops(subs + retract_unclaimed(rt.srt(), m.adv_ids, m.in_flight_advs,
+                                    digest_adv_rounds_));
 }
 
 void RepairEngine::on_request(BrokerId from, const RepairRequestMsg& m,
@@ -389,24 +345,19 @@ void RepairEngine::on_request(BrokerId from, const RepairRequestMsg& m,
   RoutingTables& rt = broker_->tables();
   const Hop link = Hop::of_broker(from);
   std::uint64_t served = 0;
-  for (const auto& id : m.sub_ids) {
-    SubEntry* e = rt.find_sub(id);
-    if (!e || e->shadow_only || !e->forwarded_to.contains(link)) continue;
-    Message wire;
-    wire.id = broker_->next_message_id();
-    wire.payload = SubscribeMsg{e->sub};
-    out.emplace_back(from, std::move(wire));
-    ++served;
-  }
-  for (const auto& id : m.adv_ids) {
-    AdvEntry* e = rt.find_adv(id);
-    if (!e || e->shadow_only || !e->forwarded_to.contains(link)) continue;
-    Message wire;
-    wire.id = broker_->next_message_id();
-    wire.payload = AdvertiseMsg{e->adv};
-    out.emplace_back(from, std::move(wire));
-    ++served;
-  }
+  const auto serve = [&](const auto& table, const std::vector<EntityId>& ids) {
+    for (const auto& id : ids) {
+      const auto* e = table.find(id);
+      if (!e || e->shadow_only || !e->forwarded_to.contains(link)) continue;
+      Message wire;
+      wire.id = broker_->next_message_id();
+      wire.payload = reissue(e->item);
+      out.emplace_back(from, std::move(wire));
+      ++served;
+    }
+  };
+  serve(rt.prt(), m.sub_ids);
+  serve(rt.srt(), m.adv_ids);
   if (served > 0) {
     stats_.reissues_served += served;
     TMPS_EVENT(tracer_, kNoTxn, "repair:reissue",

@@ -1,8 +1,7 @@
 // The result type of RoutingTables' mutation API (add_sub/remove_sub/
 // add_adv/remove_adv): an ordered list of link operations the caller must
-// transmit, replacing the previous pattern where broker and mobility engine
-// each recomputed quench/retract/unquench sets from free functions
-// (routing/covering.h).
+// transmit, so broker and mobility engine never recompute quench/retract/
+// unquench sets themselves.
 //
 // Op order is significant and preserves the wire protocol's correctness
 // windows: an un-quenched subscription is forwarded BEFORE the

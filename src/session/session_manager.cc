@@ -8,6 +8,14 @@
 
 namespace tmps::session {
 
+namespace {
+
+/// Byte cap on a session's disconnected-operation buffer (encoded wire
+/// size); the notification-count cap is SessionConfig::buffer_max_count.
+constexpr std::size_t kBufferMaxBytes = 256 * 1024;
+
+}  // namespace
+
 const char* to_string(SessionState s) {
   switch (s) {
     case SessionState::Active: return "active";
@@ -262,22 +270,10 @@ void SessionManager::on_resume(BrokerId from, const SessionResumeMsg& m,
     }
   }
 
-  if (cfg_.forward_on_refusal) {
-    begin_forwarding(s, *stub, m.at);
-    ++stats_.resumed_forward;
-    if (resumes_ctr_) resumes_ctr_->inc();
-    ack.verdict = SessionVerdict::Forwarding;
-    answer(m.at, std::move(ack), out);
-    return;
-  }
-
-  // No mobility and no forwarding: the stub resumes at home and deliveries
-  // wait there (the poor-locality baseline).
-  if (stub->state() == ClientState::PauseOper) stub->resume();
-  s.state = SessionState::Active;
-  ++stats_.resumed_local;
+  begin_forwarding(s, *stub, m.at);
+  ++stats_.resumed_forward;
   if (resumes_ctr_) resumes_ctr_->inc();
-  ack.verdict = SessionVerdict::Resumed;
+  ack.verdict = SessionVerdict::Forwarding;
   answer(m.at, std::move(ack), out);
 }
 
@@ -383,8 +379,6 @@ void SessionManager::tick() {
           // A stub that landed here via a movement that committed after the
           // client already vanished again arrives Started: park it.
           if (stub->state() == ClientState::Started) stub->pause();
-          const std::size_t aged = stub->expire_buffer();
-          (void)aged;  // accounted via the drop callback
           // A stub mid-movement must resolve before the session can be
           // dismantled.
           if (t - s.detached_at > cfg_.grace &&
@@ -412,7 +406,7 @@ void SessionManager::tick() {
             ack.token = s.token;
             ack.client = c;
             ack.home = broker_->id();
-            if (cfg_.forward_on_refusal && stub) {
+            if (stub) {
               const BrokerId to = s.peer;
               begin_forwarding(s, *stub, to);
               ack.verdict = SessionVerdict::Forwarding;
@@ -564,8 +558,7 @@ void SessionManager::deliver_locally(ClientStub& stub) {
 // --- plumbing ----------------------------------------------------------------
 
 void SessionManager::configure_stub(ClientStub& stub) {
-  stub.set_buffer_limits(
-      {cfg_.buffer_max_count, cfg_.buffer_max_bytes, cfg_.buffer_max_age});
+  stub.set_buffer_limits({cfg_.buffer_max_count, kBufferMaxBytes, 0.0});
   stub.set_buffer_clock([this] { return now(); });
   const ClientId client = stub.id();
   stub.set_drop_fn([this, client](const Publication& pub, const char* reason) {

@@ -152,8 +152,8 @@ void SimNetwork::arrive(BrokerId from, BrokerId to, Message msg) {
   }
   stats().count_broker_message(to, is_pub);
   if (profile_.proc_per_entry > 0 && !msg.is_control()) {
-    const auto entries = b.broker->tables().sub_count() +
-                         b.broker->tables().adv_count();
+    const auto entries = b.broker->tables().prt().size() +
+                         b.broker->tables().srt().size();
     proc += profile_.proc_per_entry * static_cast<double>(entries);
   }
   const double done = start + proc;

@@ -59,61 +59,49 @@ bool decode_entry_common(Reader& r, Entry& e) {
   return true;
 }
 
+template <typename Table>
+void encode_table(Writer& w, const Table& table) {
+  w.u32(static_cast<std::uint32_t>(table.size()));
+  for (const auto& [id, e] : table) {
+    encode(w, e.item);
+    encode_entry_common(w, e);
+  }
+}
+
+template <typename Table>
+bool decode_table(Reader& r, Table& table) {
+  std::uint32_t n;
+  if (!r.u32(n) || n > kMaxEntries) return false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    typename Table::Entry scratch;
+    if (!decode(r, scratch.item) || !decode_entry_common(r, scratch)) {
+      return false;
+    }
+    auto& e = table.upsert(scratch.item, scratch.lasthop);
+    e.forwarded_to = std::move(scratch.forwarded_to);
+    e.shadow_lasthop = scratch.shadow_lasthop;
+    e.shadow_txn = scratch.shadow_txn;
+    e.shadow_only = scratch.shadow_only;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string snapshot_tables(const RoutingTables& tables) {
   Writer w;
   w.u32(kMagic);
-  w.u32(static_cast<std::uint32_t>(tables.prt().size()));
-  for (const auto& [id, e] : tables.prt()) {
-    encode(w, e.sub);
-    encode_entry_common(w, e);
-  }
-  w.u32(static_cast<std::uint32_t>(tables.srt().size()));
-  for (const auto& [id, e] : tables.srt()) {
-    encode(w, e.adv);
-    encode_entry_common(w, e);
-  }
+  encode_table(w, tables.prt());
+  encode_table(w, tables.srt());
   return w.take();
 }
 
 bool restore_tables(std::string_view bytes, RoutingTables& tables) {
   tables = RoutingTables{};
   Reader r(bytes);
-  std::uint32_t magic, nsubs, nadvs;
-  if (!r.u32(magic) || magic != kMagic) return false;
-  if (!r.u32(nsubs) || nsubs > kMaxEntries) return false;
-  for (std::uint32_t i = 0; i < nsubs; ++i) {
-    Subscription sub;
-    SubEntry scratch;
-    if (!decode(r, sub) || !decode_entry_common(r, scratch)) {
-      tables = RoutingTables{};
-      return false;
-    }
-    SubEntry& e = tables.upsert_sub(sub, scratch.lasthop);
-    e.forwarded_to = std::move(scratch.forwarded_to);
-    e.shadow_lasthop = scratch.shadow_lasthop;
-    e.shadow_txn = scratch.shadow_txn;
-    e.shadow_only = scratch.shadow_only;
-  }
-  if (!r.u32(nadvs) || nadvs > kMaxEntries) {
-    tables = RoutingTables{};
-    return false;
-  }
-  for (std::uint32_t i = 0; i < nadvs; ++i) {
-    Advertisement adv;
-    AdvEntry scratch;
-    if (!decode(r, adv) || !decode_entry_common(r, scratch)) {
-      tables = RoutingTables{};
-      return false;
-    }
-    AdvEntry& e = tables.upsert_adv(adv, scratch.lasthop);
-    e.forwarded_to = std::move(scratch.forwarded_to);
-    e.shadow_lasthop = scratch.shadow_lasthop;
-    e.shadow_txn = scratch.shadow_txn;
-    e.shadow_only = scratch.shadow_only;
-  }
-  if (!r.at_end()) {
+  std::uint32_t magic;
+  if (!r.u32(magic) || magic != kMagic || !decode_table(r, tables.prt()) ||
+      !decode_table(r, tables.srt()) || !r.at_end()) {
     tables = RoutingTables{};
     return false;
   }

@@ -69,9 +69,9 @@ TEST_F(MultiAdvertiser, SubscriptionFansTowardsEveryAdvertiser) {
   });
   // The subscription sits at 4, at the hub (lasthop 4), and at both
   // advertiser leaves.
-  EXPECT_NE(net_.broker(2).tables().find_sub({204, 1}), nullptr);
-  EXPECT_NE(net_.broker(3).tables().find_sub({204, 1}), nullptr);
-  EXPECT_EQ(net_.broker(5).tables().find_sub({204, 1}), nullptr)
+  EXPECT_NE(net_.broker(2).tables().prt().find({204, 1}), nullptr);
+  EXPECT_NE(net_.broker(3).tables().prt().find({204, 1}), nullptr);
+  EXPECT_EQ(net_.broker(5).tables().prt().find({204, 1}), nullptr)
       << "no advertiser beyond leaf 5";
 
   // Publications from both advertisers arrive exactly once each.
@@ -119,7 +119,7 @@ TEST_F(MultiAdvertiser, ReadvertiseAfterUnadvertisePullsSubscriptionAgain) {
   net_.run(5, [&](Broker& b) {
     return b.client_advertise(105, adv(105, full_space_advertisement()));
   });
-  EXPECT_NE(net_.broker(5).tables().find_sub({204, 1}), nullptr);
+  EXPECT_NE(net_.broker(5).tables().prt().find({204, 1}), nullptr);
   net_.run(5, [&](Broker& b) {
     return b.client_publish(105, make_publication({105, 1}, 100, 0));
   });
@@ -155,10 +155,10 @@ TEST_F(MultiAdvertiser, PartialSpaceAdvertisersSplitTheSubscription) {
     return b.client_subscribe(205, sub(205, narrow));
   });
 
-  EXPECT_NE(net_.broker(2).tables().find_sub({204, 1}), nullptr);
-  EXPECT_NE(net_.broker(3).tables().find_sub({204, 1}), nullptr);
-  EXPECT_NE(net_.broker(2).tables().find_sub({205, 1}), nullptr);
-  EXPECT_EQ(net_.broker(3).tables().find_sub({205, 1}), nullptr)
+  EXPECT_NE(net_.broker(2).tables().prt().find({204, 1}), nullptr);
+  EXPECT_NE(net_.broker(3).tables().prt().find({204, 1}), nullptr);
+  EXPECT_NE(net_.broker(2).tables().prt().find({205, 1}), nullptr);
+  EXPECT_EQ(net_.broker(3).tables().prt().find({205, 1}), nullptr)
       << "narrow subscription must not reach the non-overlapping advertiser";
 }
 

@@ -32,7 +32,7 @@ TEST_F(BrokerChain, AdvertisementFloodsEverywhere) {
     return b.client_advertise(100, adv(100, 1, range(0, 100)));
   });
   for (BrokerId b = 1; b <= 5; ++b) {
-    EXPECT_EQ(net_.broker(b).tables().adv_count(), 1u) << b;
+    EXPECT_EQ(net_.broker(b).tables().srt().size(), 1u) << b;
   }
   // One message per link: 4 links.
   EXPECT_EQ(net_.messages(), 4u);
@@ -52,7 +52,7 @@ TEST_F(BrokerChain, SubscriptionRoutesTowardAdvertiser) {
   // Subscription travels only along the path 5->4->3->2->1.
   EXPECT_EQ(net_.messages(), 4u);
   for (BrokerId b = 1; b <= 5; ++b) {
-    EXPECT_EQ(net_.broker(b).tables().sub_count(), 1u) << b;
+    EXPECT_EQ(net_.broker(b).tables().prt().size(), 1u) << b;
   }
   EXPECT_EQ(net_.broker(3).tables().prt().begin()->second.lasthop,
             Hop::of_broker(4));
@@ -67,8 +67,8 @@ TEST_F(BrokerChain, NonIntersectingSubscriptionStaysLocal) {
     return b.client_subscribe(200, sub(200, 1, range(500, 600)));
   });
   EXPECT_EQ(net_.messages(), 0u);
-  EXPECT_EQ(net_.broker(5).tables().sub_count(), 1u);
-  EXPECT_EQ(net_.broker(4).tables().sub_count(), 0u);
+  EXPECT_EQ(net_.broker(5).tables().prt().size(), 1u);
+  EXPECT_EQ(net_.broker(4).tables().prt().size(), 0u);
 }
 
 TEST_F(BrokerChain, PublicationDeliveredToMatchingSubscriber) {
@@ -125,7 +125,7 @@ TEST_F(BrokerChain, UnsubscribeCleansPath) {
     return b.client_unsubscribe(200, {200, 1});
   });
   for (BrokerId b = 1; b <= 5; ++b) {
-    EXPECT_EQ(net_.broker(b).tables().sub_count(), 0u) << b;
+    EXPECT_EQ(net_.broker(b).tables().prt().size(), 0u) << b;
   }
 }
 
@@ -137,7 +137,7 @@ TEST_F(BrokerChain, UnadvertiseCleansSrt) {
     return b.client_unadvertise(100, {100, 1});
   });
   for (BrokerId b = 1; b <= 5; ++b) {
-    EXPECT_EQ(net_.broker(b).tables().adv_count(), 0u) << b;
+    EXPECT_EQ(net_.broker(b).tables().srt().size(), 0u) << b;
   }
 }
 
@@ -152,7 +152,7 @@ TEST_F(BrokerChain, StaleUnsubscribeIgnored) {
   net_.run(5, [&](Broker& b) {
     return b.client_unsubscribe(999, {200, 1});
   });
-  EXPECT_EQ(net_.broker(5).tables().sub_count(), 1u);
+  EXPECT_EQ(net_.broker(5).tables().prt().size(), 1u);
 }
 
 TEST_F(BrokerChain, LateAdvertiserPullsExistingSubscriptions) {
@@ -160,13 +160,13 @@ TEST_F(BrokerChain, LateAdvertiserPullsExistingSubscriptions) {
   net_.run(5, [&](Broker& b) {
     return b.client_subscribe(200, sub(200, 1, range(10, 20)));
   });
-  EXPECT_EQ(net_.broker(4).tables().sub_count(), 0u);
+  EXPECT_EQ(net_.broker(4).tables().prt().size(), 0u);
   // ...then an advertisement appears and drags the subscription to it.
   net_.run(1, [&](Broker& b) {
     return b.client_advertise(100, adv(100, 1, range(0, 100)));
   });
   for (BrokerId b = 1; b <= 5; ++b) {
-    EXPECT_EQ(net_.broker(b).tables().sub_count(), 1u) << b;
+    EXPECT_EQ(net_.broker(b).tables().prt().size(), 1u) << b;
   }
 
   std::vector<Publication> got;
@@ -244,7 +244,7 @@ TEST_F(BrokerCovering, CoveredSubscriptionQuenched) {
     return b.client_subscribe(201, sub(201, 1, range(10, 20)));
   });
   EXPECT_EQ(net_.messages(), 0u);
-  EXPECT_EQ(net_.broker(4).tables().sub_count(), 1u);
+  EXPECT_EQ(net_.broker(4).tables().prt().size(), 1u);
 }
 
 TEST_F(BrokerCovering, IdenticalSubscriptionQuenched) {
@@ -270,8 +270,8 @@ TEST_F(BrokerCovering, CoveringSubscriptionRetractsCovered) {
   });
   // Per hop: subscribe(201) + unsubscribe(200) = 2 messages over 4 links.
   EXPECT_EQ(net_.messages(), 8u);
-  EXPECT_EQ(net_.broker(2).tables().sub_count(), 1u);
-  EXPECT_EQ(net_.broker(5).tables().sub_count(), 2u);  // origin keeps both
+  EXPECT_EQ(net_.broker(2).tables().prt().size(), 1u);
+  EXPECT_EQ(net_.broker(5).tables().prt().size(), 2u);  // origin keeps both
 }
 
 TEST_F(BrokerCovering, UnsubscribeOfCovererUnquenchesCovered) {
@@ -289,7 +289,7 @@ TEST_F(BrokerCovering, UnsubscribeOfCovererUnquenchesCovered) {
   });
   EXPECT_EQ(net_.messages(), 8u);
   for (BrokerId b = 1; b <= 4; ++b) {
-    ASSERT_EQ(net_.broker(b).tables().sub_count(), 1u) << b;
+    ASSERT_EQ(net_.broker(b).tables().prt().size(), 1u) << b;
     EXPECT_EQ(net_.broker(b).tables().prt().begin()->first,
               (SubscriptionId{201, 1}));
   }
@@ -339,7 +339,7 @@ TEST_F(BrokerCovering, AdvertisementCoveringQuenchesAndRetracts) {
     return b.client_advertise(101, adv(101, 1, range(0, 10)));
   });
   EXPECT_EQ(net_.messages(), 0u);
-  EXPECT_EQ(net_.broker(3).tables().adv_count(), 1u);
+  EXPECT_EQ(net_.broker(3).tables().srt().size(), 1u);
 
   // A covering advertisement retracts the earlier one network-wide: the
   // "both flooded, then one unadvertised" pattern from Sec. 4.4.
@@ -356,7 +356,7 @@ TEST_F(BrokerCovering, AdvertisementCoveringQuenchesAndRetracts) {
   });
   // Per link: advertise(101) + unadvertise(100) = 2 over 2 links.
   EXPECT_EQ(net.messages(), 4u);
-  EXPECT_EQ(net.broker(3).tables().adv_count(), 1u);
+  EXPECT_EQ(net.broker(3).tables().srt().size(), 1u);
 }
 
 }  // namespace

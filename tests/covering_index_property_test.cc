@@ -4,7 +4,7 @@
 // forwarded_to flips and movement-shadow install/commit/abort — after every
 // mutation the index must pass its structural consistency check, and all
 // index-backed covering queries must return exactly what the `*_scan`
-// reference implementations return.
+// reference implementations (tests/routing_reference.h) return.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,87 +15,59 @@
 #include "core/scenario.h"
 #include "pubsub/workload.h"
 #include "routing/routing_tables.h"
+#include "routing_reference.h"
 
 namespace tmps {
 namespace {
 
-std::vector<EntityId> ids_of(const std::vector<SubEntry*>& es) {
+template <class Entry>
+std::vector<EntityId> ids_of(const std::vector<Entry*>& es) {
   std::vector<EntityId> out;
-  for (const SubEntry* e : es) out.push_back(e->sub.id);
+  for (const Entry* e : es) out.push_back(e->item.id);
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<EntityId> ids_of(const std::vector<AdvEntry*>& es) {
-  std::vector<EntityId> out;
-  for (const AdvEntry* e : es) out.push_back(e->adv.id);
-  std::sort(out.begin(), out.end());
-  return out;
+/// Index answers must equal the scan oracles exactly for every row of
+/// `table` and every probed link. `need` is the table's un-quench link-need
+/// test, index-backed and by scan.
+template <class Item>
+void expect_table_matches_scans(
+    RouteTable<Item>& table, const std::vector<Hop>& links,
+    const typename RouteTable<Item>::LinkNeed& need,
+    const typename RouteTable<Item>::LinkNeed& need_scan) {
+  std::vector<EntityId> ids;
+  for (const auto& [id, e] : table) ids.push_back(id);
+  for (const EntityId& id : ids) {
+    RouteEntry<Item>* e = table.find(id);
+    ASSERT_NE(e, nullptr);
+    const Filter f = e->item.filter;
+    EXPECT_EQ(ids_of(table.intersecting(f)),
+              ids_of(intersecting_scan(table, f)));
+    for (Hop link : links) {
+      EXPECT_EQ(table.covered_on_link(id, f, link),
+                covered_on_link_scan(table, id, f, link))
+          << to_string(id);
+      EXPECT_EQ(ids_of(table.strictly_covered_on_link(id, f, link)),
+                ids_of(strictly_covered_on_link_scan(table, id, f, link)))
+          << to_string(id);
+      EXPECT_EQ(ids_of(table.unquench_candidates(*e, link, need)),
+                ids_of(unquench_candidates_scan(table, *e, link, need_scan)))
+          << to_string(id);
+      if (need) {
+        EXPECT_EQ(need(f, link), need_scan(f, link)) << to_string(id);
+      }
+    }
+  }
 }
 
-std::vector<EntityId> ids_of(const std::vector<const SubEntry*>& es) {
-  std::vector<EntityId> out;
-  for (const SubEntry* e : es) out.push_back(e->sub.id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<EntityId> ids_of(const std::vector<const AdvEntry*>& es) {
-  std::vector<EntityId> out;
-  for (const AdvEntry* e : es) out.push_back(e->adv.id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Index answers must equal the scan oracles exactly for every entry and
-/// every probed link.
 void expect_index_matches_scans(RoutingTables& rt) {
   const std::vector<Hop> links = {Hop::of_broker(1), Hop::of_broker(2),
                                   Hop::of_broker(3), Hop::of_broker(9),
                                   Hop::of_client(1), Hop::of_client(2)};
-
-  std::vector<EntityId> sub_ids, adv_ids;
-  for (const auto& [id, e] : rt.prt()) sub_ids.push_back(id);
-  for (const auto& [id, e] : rt.srt()) adv_ids.push_back(id);
-
-  for (const EntityId& id : sub_ids) {
-    SubEntry* e = rt.find_sub(id);
-    ASSERT_NE(e, nullptr);
-    const Filter f = e->sub.filter;
-    EXPECT_EQ(ids_of(rt.intersecting_advs(f)),
-              ids_of(rt.intersecting_advs_scan(f)));
-    for (Hop link : links) {
-      EXPECT_EQ(rt.sub_covered_on_link(id, f, link),
-                rt.sub_covered_on_link_scan(id, f, link))
-          << to_string(id);
-      EXPECT_EQ(ids_of(rt.strictly_covered_subs_on_link(id, f, link)),
-                ids_of(rt.strictly_covered_subs_on_link_scan(id, f, link)))
-          << to_string(id);
-      EXPECT_EQ(ids_of(rt.unquenched_subs_on_link(*e, link)),
-                ids_of(rt.unquenched_subs_on_link_scan(*e, link)))
-          << to_string(id);
-      EXPECT_EQ(rt.link_needed_for(f, link), rt.link_needed_for_scan(f, link))
-          << to_string(id);
-    }
-  }
-  for (const EntityId& id : adv_ids) {
-    AdvEntry* e = rt.find_adv(id);
-    ASSERT_NE(e, nullptr);
-    const Filter f = e->adv.filter;
-    EXPECT_EQ(ids_of(rt.subs_intersecting(f)),
-              ids_of(rt.subs_intersecting_scan(f)));
-    for (Hop link : links) {
-      EXPECT_EQ(rt.adv_covered_on_link(id, f, link),
-                rt.adv_covered_on_link_scan(id, f, link))
-          << to_string(id);
-      EXPECT_EQ(ids_of(rt.strictly_covered_advs_on_link(id, f, link)),
-                ids_of(rt.strictly_covered_advs_on_link_scan(id, f, link)))
-          << to_string(id);
-      EXPECT_EQ(ids_of(rt.unquenched_advs_on_link(*e, link)),
-                ids_of(rt.unquenched_advs_on_link_scan(*e, link)))
-          << to_string(id);
-    }
-  }
+  expect_table_matches_scans(rt.prt(), links, rt.link_need(),
+                             link_need_scan(rt));
+  expect_table_matches_scans(rt.srt(), links, {}, {});
 }
 
 class CoverIndexProperty : public ::testing::TestWithParam<WorkloadKind> {};
@@ -165,7 +137,7 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
       case 4: {  // remove one (occasionally from the wrong hop)
         if (subs.empty()) break;
         const std::size_t k = rng() % subs.size();
-        const SubEntry* e = rt.find_sub(subs[k].id);
+        const SubEntry* e = rt.prt().find(subs[k].id);
         ASSERT_NE(e, nullptr);
         const bool wrong_hop = rng() % 8 == 0;
         const RoutingDelta d = rt.remove_sub(
@@ -183,7 +155,7 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
       case 6: {
         if (advs.empty()) break;
         const std::size_t k = rng() % advs.size();
-        const AdvEntry* e = rt.find_adv(advs[k].id);
+        const AdvEntry* e = rt.srt().find(advs[k].id);
         ASSERT_NE(e, nullptr);
         const RoutingDelta d = rt.remove_adv(advs[k].id, e->lasthop);
         if (d.applied) advs.erase(advs.begin() + static_cast<long>(k));
@@ -192,7 +164,7 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
       case 7:
       case 8: {  // raw forwarded_to flip: the index must not care
         if (subs.empty()) break;
-        SubEntry* e = rt.find_sub(subs[rng() % subs.size()].id);
+        SubEntry* e = rt.prt().find(subs[rng() % subs.size()].id);
         ASSERT_NE(e, nullptr);
         const Hop link = rand_link(/*brokers_only=*/true);
         if (e->forwarded_to.erase(link) == 0) e->forwarded_to.insert(link);
@@ -202,12 +174,13 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
         const TxnId txn = ++next_txn;
         if (!subs.empty() && rng() % 2 == 0) {
           const Live& l = subs[rng() % subs.size()];
-          if (rt.find_sub(l.id)->shadow_txn != kNoTxn) break;  // one at a time
-          rt.install_sub_shadow({l.id, l.filter}, rand_link(), txn);
+          // one at a time
+          if (rt.prt().find(l.id)->shadow_txn != kNoTxn) break;
+          rt.prt().install_shadow({l.id, l.filter}, rand_link(), txn);
           pending.push_back({l.id, l.filter, txn, false, false});
         } else {
           const Subscription s{{3000 + rng() % 10, ++seq}, rand_filter()};
-          rt.install_sub_shadow(s, rand_link(), txn);
+          rt.prt().install_shadow(s, rand_link(), txn);
           pending.push_back({s.id, s.filter, txn, true, false});
         }
         break;
@@ -215,7 +188,7 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
       case 10: {  // adv shadow
         const TxnId txn = ++next_txn;
         const Advertisement a{{4000 + rng() % 10, ++seq}, rand_filter()};
-        rt.install_adv_shadow(a, rand_link(), txn);
+        rt.srt().install_shadow(a, rand_link(), txn);
         pending.push_back({a.id, a.filter, txn, true, true});
         break;
       }
@@ -226,12 +199,12 @@ TEST_P(CoverIndexProperty, RandomMutationsAgreeWithScanOracles) {
         pending.erase(pending.begin() + static_cast<long>(k));
         const bool commit = rng() % 2 == 0;
         if (p.adv) {
-          commit ? rt.commit_adv_shadow(p.id, p.txn)
-                 : rt.abort_adv_shadow(p.id, p.txn);
+          commit ? rt.srt().commit_shadow(p.id, p.txn)
+                 : rt.srt().abort_shadow(p.id, p.txn);
           if (commit && p.fresh) advs.push_back({p.id, p.filter});
         } else {
-          commit ? rt.commit_shadow(p.id, p.txn)
-                 : rt.abort_shadow(p.id, p.txn);
+          commit ? rt.prt().commit_shadow(p.id, p.txn)
+                 : rt.prt().abort_shadow(p.id, p.txn);
           if (commit && p.fresh) subs.push_back({p.id, p.filter});
         }
         break;

@@ -86,8 +86,8 @@ TEST(CoveringMobility, QuenchingActuallyHappensWithCoveringOn) {
   Rig s(/*covering_enabled=*/true);
   // The leaf's subscription was quenched at broker 1: brokers 2..4 only
   // carry the root.
-  EXPECT_EQ(s.net.broker(3).tables().find_sub({kQuenched, 1}), nullptr);
-  ASSERT_NE(s.net.broker(3).tables().find_sub({kCoverer, 1}), nullptr);
+  EXPECT_EQ(s.net.broker(3).tables().prt().find({kQuenched, 1}), nullptr);
+  ASSERT_NE(s.net.broker(3).tables().prt().find({kCoverer, 1}), nullptr);
   // Delivery works for both while the coverer is in place.
   const Publication p = make_publication({kPublisher, 1}, 100, 0);
   s.run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {

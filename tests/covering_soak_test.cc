@@ -10,8 +10,8 @@
 #include <set>
 
 #include "broker/broker.h"
-#include "routing/covering.h"
 #include "pubsub/workload.h"
+#include "routing_reference.h"
 #include "test_util.h"
 
 namespace tmps {
@@ -162,6 +162,50 @@ TEST_P(CoveringSoak, DeliveryMatchesGoldenModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoveringSoak,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// Negative controls for audit_covering_invariants, which the soak above only
+// ever sees report nothing. One hand-built table: an advertisement behind
+// link B2, a wide subscription forwarded there and a narrow one it quenches.
+class CoveringAuditControl : public ::testing::Test {
+ protected:
+  static Subscription sub(std::uint32_t seq, std::int64_t lo, std::int64_t hi) {
+    return {{10, seq},
+            Filter::build().attr("class").eq("STOCK").attr("x").ge(lo).le(hi)};
+  }
+  void SetUp() override {
+    rt_.srt().upsert({{20, 1}, full_space_advertisement()}, link_);
+    rt_.prt().upsert(sub(1, 0, 100), Hop::of_client(1))
+        .forwarded_to.insert(link_);
+    narrow_ = &rt_.prt().upsert(sub(2, 10, 20), Hop::of_client(2));
+  }
+  std::vector<std::string> audit() const {
+    return audit_covering_invariants(rt_, {link_});
+  }
+
+  RoutingTables rt_;
+  SubEntry* narrow_ = nullptr;
+  const Hop link_ = Hop::of_broker(2);
+};
+
+TEST_F(CoveringAuditControl, CleanTableReportsNothing) {
+  EXPECT_TRUE(audit().empty());
+}
+
+TEST_F(CoveringAuditControl, ReportsStrictlyCoveredSubForwardedBesideCoverer) {
+  narrow_->forwarded_to.insert(link_);
+  const auto v = audit();
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], "link B2: active sub 10:2 strictly covered by active 10:1");
+}
+
+TEST_F(CoveringAuditControl, ReportsNeededLinkNeitherForwardedNorCovered) {
+  rt_.prt().upsert(sub(3, 200, 300), Hop::of_client(3));
+  const auto v = audit();
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0],
+            "link B2: sub 10:3 needs the link but is neither forwarded nor "
+            "covered");
+}
 
 }  // namespace
 }  // namespace tmps

@@ -68,17 +68,17 @@ TEST_F(DurableNodeTest, RoutingStateSurvivesRestart) {
     adv.payload = AdvertiseMsg{{{200, 1}, full_space_advertisement()}};
     node.deliver(3, adv);
     node.deliver(1, subscribe_msg(origin_, sub(1)));
-    EXPECT_EQ(node.broker().tables().sub_count(), 1u);
-    EXPECT_EQ(node.broker().tables().adv_count(), 1u);
+    EXPECT_EQ(node.broker().tables().prt().size(), 1u);
+    EXPECT_EQ(node.broker().tables().srt().size(), 1u);
   }
   // "Restart": a fresh node over the same directory rebuilds its tables.
   DurableNode node(2, &overlay_, dir_);
-  EXPECT_EQ(node.broker().tables().sub_count(), 0u) << "before recovery";
+  EXPECT_EQ(node.broker().tables().prt().size(), 0u) << "before recovery";
   const auto out = node.recover();
   EXPECT_TRUE(out.empty()) << "fully processed history re-emits nothing";
-  EXPECT_EQ(node.broker().tables().sub_count(), 1u);
-  EXPECT_EQ(node.broker().tables().adv_count(), 1u);
-  const SubEntry* e = node.broker().tables().find_sub({100, 1});
+  EXPECT_EQ(node.broker().tables().prt().size(), 1u);
+  EXPECT_EQ(node.broker().tables().srt().size(), 1u);
+  const SubEntry* e = node.broker().tables().prt().find({100, 1});
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->lasthop, Hop::of_broker(1));
 }
@@ -100,7 +100,7 @@ TEST_F(DurableNodeTest, UnprocessedTailReplaysWithOutputs) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].first, 3u);
   EXPECT_EQ(node.backlog(), 0u);
-  EXPECT_EQ(node.broker().tables().sub_count(), 1u);
+  EXPECT_EQ(node.broker().tables().prt().size(), 1u);
 }
 
 TEST_F(DurableNodeTest, PublicationInTailRedelivers) {
@@ -139,8 +139,8 @@ TEST_F(DurableNodeTest, RepeatedRestartsAreIdempotent) {
   for (int round = 0; round < 3; ++round) {
     DurableNode node(2, &overlay_, dir_);
     node.recover();
-    EXPECT_EQ(node.broker().tables().sub_count(), 1u) << round;
-    EXPECT_EQ(node.broker().tables().adv_count(), 1u) << round;
+    EXPECT_EQ(node.broker().tables().prt().size(), 1u) << round;
+    EXPECT_EQ(node.broker().tables().srt().size(), 1u) << round;
   }
 }
 
@@ -159,7 +159,7 @@ TEST_F(DurableNodeTest, CorruptJournalEntrySkipped) {
   }
   DurableNode node(2, &overlay_, dir_);
   node.recover();  // must not crash; junk skipped, real history replayed
-  EXPECT_EQ(node.broker().tables().adv_count(), 1u);
+  EXPECT_EQ(node.broker().tables().srt().size(), 1u);
 }
 
 }  // namespace

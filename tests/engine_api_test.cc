@@ -78,13 +78,13 @@ TEST(EngineApi, UnsubscribeRemovesFromProfileAndNetwork) {
     e.connect_client(5);
     sid = e.subscribe(5, workload_filter(WorkloadKind::Covered, 1), out);
   });
-  EXPECT_EQ(r.net.broker(3).tables().sub_count(), 1u);
+  EXPECT_EQ(r.net.broker(3).tables().prt().size(), 1u);
   r.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.unsubscribe(5, sid, out);
   });
   EXPECT_TRUE(r.engines[0]->find_client(5)->subscriptions().empty());
   for (BrokerId b = 1; b <= 4; ++b) {
-    EXPECT_EQ(r.net.broker(b).tables().sub_count(), 0u) << b;
+    EXPECT_EQ(r.net.broker(b).tables().prt().size(), 0u) << b;
   }
   // Unsubscribing twice is harmless.
   r.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
@@ -99,12 +99,12 @@ TEST(EngineApi, UnadvertiseCleansNetwork) {
     e.connect_client(7);
     aid = e.advertise(7, full_space_advertisement(), out);
   });
-  EXPECT_EQ(r.net.broker(4).tables().adv_count(), 1u);
+  EXPECT_EQ(r.net.broker(4).tables().srt().size(), 1u);
   r.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.unadvertise(7, aid, out);
   });
   for (BrokerId b = 1; b <= 4; ++b) {
-    EXPECT_EQ(r.net.broker(b).tables().adv_count(), 0u) << b;
+    EXPECT_EQ(r.net.broker(b).tables().srt().size(), 0u) << b;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/scenario.h"
 #include "pubsub/workload.h"
 #include "routing/routing_tables.h"
+#include "routing_reference.h"
 
 namespace tmps {
 namespace {
@@ -30,7 +31,7 @@ void expect_match_equals_scan(RoutingTables& rt, std::mt19937_64& rng,
     const std::int64_t g = static_cast<std::int64_t>(rng() % 3);
     const Publication p = make_publication({900, ++seq}, x, g);
     const MatchResult got = rt.match(p);
-    const MatchResult want = rt.match_scan(p);
+    const MatchResult want = match_scan(rt, p);
     ASSERT_EQ(got.links, want.links) << "x=" << x << " g=" << g;
     ASSERT_EQ(got.matched, want.matched) << "x=" << x << " g=" << g;
     ASSERT_EQ(got.version, want.version);
@@ -105,7 +106,7 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
       case 4: {  // remove one (occasionally from the wrong hop)
         if (subs.empty()) break;
         const std::size_t k = rng() % subs.size();
-        const SubEntry* e = rt.find_sub(subs[k].id);
+        const SubEntry* e = rt.prt().find(subs[k].id);
         ASSERT_NE(e, nullptr);
         const bool wrong_hop = rng() % 8 == 0;
         const RoutingDelta d = rt.apply(RoutingMutation::remove_sub(
@@ -124,7 +125,7 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
       case 6: {
         if (advs.empty()) break;
         const std::size_t k = rng() % advs.size();
-        const AdvEntry* e = rt.find_adv(advs[k].id);
+        const AdvEntry* e = rt.srt().find(advs[k].id);
         ASSERT_NE(e, nullptr);
         const RoutingDelta d =
             rt.apply(RoutingMutation::remove_adv(advs[k].id, e->lasthop));
@@ -133,7 +134,7 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
       }
       case 7: {  // raw forwarded_to flip: membership-only filing must not care
         if (subs.empty()) break;
-        SubEntry* e = rt.find_sub(subs[rng() % subs.size()].id);
+        SubEntry* e = rt.prt().find(subs[rng() % subs.size()].id);
         ASSERT_NE(e, nullptr);
         const Hop link = rand_link(/*brokers_only=*/true);
         if (e->forwarded_to.erase(link) == 0) e->forwarded_to.insert(link);
@@ -143,12 +144,13 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
         const TxnId txn = ++next_txn;
         if (!subs.empty() && rng() % 2 == 0) {
           const Live& l = subs[rng() % subs.size()];
-          if (rt.find_sub(l.id)->shadow_txn != kNoTxn) break;  // one at a time
-          rt.install_sub_shadow({l.id, l.filter}, rand_link(), txn);
+          // one at a time
+          if (rt.prt().find(l.id)->shadow_txn != kNoTxn) break;
+          rt.prt().install_shadow({l.id, l.filter}, rand_link(), txn);
           pending.push_back({l.id, l.filter, txn, false, false});
         } else {
           const Subscription s{{3000 + rng() % 10, ++seq}, rand_filter()};
-          rt.install_sub_shadow(s, rand_link(), txn);
+          rt.prt().install_shadow(s, rand_link(), txn);
           pending.push_back({s.id, s.filter, txn, true, false});
         }
         break;
@@ -156,7 +158,7 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
       case 9: {  // adv shadow
         const TxnId txn = ++next_txn;
         const Advertisement a{{4000 + rng() % 10, ++seq}, rand_filter()};
-        rt.install_adv_shadow(a, rand_link(), txn);
+        rt.srt().install_shadow(a, rand_link(), txn);
         pending.push_back({a.id, a.filter, txn, true, true});
         break;
       }
@@ -167,12 +169,12 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
         pending.erase(pending.begin() + static_cast<long>(k));
         const bool commit = rng() % 2 == 0;
         if (p.adv) {
-          commit ? rt.commit_adv_shadow(p.id, p.txn)
-                 : rt.abort_adv_shadow(p.id, p.txn);
+          commit ? rt.srt().commit_shadow(p.id, p.txn)
+                 : rt.srt().abort_shadow(p.id, p.txn);
           if (commit && p.fresh) advs.push_back({p.id, p.filter});
         } else {
-          commit ? rt.commit_shadow(p.id, p.txn)
-                 : rt.abort_shadow(p.id, p.txn);
+          commit ? rt.prt().commit_shadow(p.id, p.txn)
+                 : rt.prt().abort_shadow(p.id, p.txn);
           if (commit && p.fresh) subs.push_back({p.id, p.filter});
         }
         break;
@@ -187,7 +189,7 @@ TEST_P(ForwardIndexProperty, RandomMutationsAgreeWithScanOracle) {
         for (std::size_t i = 0; i < retracts; ++i) {
           const std::size_t k = rng() % subs.size();
           muts.push_back(RoutingMutation::remove_sub(
-              subs[k].id, rt.find_sub(subs[k].id)->lasthop));
+              subs[k].id, rt.prt().find(subs[k].id)->lasthop));
           subs.erase(subs.begin() + static_cast<long>(k));
         }
         const std::size_t adds = 1 + rng() % 4;
@@ -226,12 +228,12 @@ TEST(ForwardIndexBatchTest, MatchDuringOpenBatchStaysExact) {
   rt.apply(RoutingMutation::add_sub({{10, 1}, f}, Hop::of_broker(2)));
   {
     RoutingTables::MutationBatch batch(rt);
-    rt.upsert_sub({{10, 2}, f}, Hop::of_broker(3));
-    rt.upsert_sub({{10, 3}, f}, Hop::of_broker(3));
-    rt.erase_sub({10, 1});
+    rt.prt().upsert({{10, 2}, f}, Hop::of_broker(3));
+    rt.prt().upsert({{10, 3}, f}, Hop::of_broker(3));
+    rt.prt().erase({10, 1});
     const Publication p = make_publication({1, 1}, 50);
     const MatchResult got = rt.match(p);
-    const MatchResult want = rt.match_scan(p);
+    const MatchResult want = match_scan(rt, p);
     EXPECT_EQ(got.links, want.links);
     EXPECT_EQ(got.matched, want.matched);
     EXPECT_EQ(got.matched, 2u);

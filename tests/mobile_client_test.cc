@@ -4,7 +4,7 @@
 
 #include "core/mobile_client.h"
 #include "pubsub/workload.h"
-#include "routing/auditor.h"
+#include "routing_reference.h"
 #include "sim/network.h"
 
 namespace tmps {
@@ -174,7 +174,7 @@ TEST(RoutingAuditor, DetectsBrokenPath) {
   r.net.run();
 
   // Sabotage: erase the subscription's entry at a mid-path broker.
-  r.net.broker(3).tables().erase_sub(sid);
+  r.net.broker(3).tables().prt().erase(sid);
 
   RoutingAuditor auditor(
       r.overlay, [&](BrokerId b) -> const RoutingTables& { return r.net.broker(b).tables(); });
@@ -198,7 +198,7 @@ TEST(RoutingAuditor, DetectsMisdirectedEntry) {
   r.net.run();
 
   // Sabotage: point the mid-path entry back towards the publisher (loop).
-  r.net.broker(3).tables().find_sub(sid)->lasthop = Hop::of_broker(2);
+  r.net.broker(3).tables().prt().find(sid)->lasthop = Hop::of_broker(2);
 
   RoutingAuditor auditor(
       r.overlay, [&](BrokerId b) -> const RoutingTables& { return r.net.broker(b).tables(); });

@@ -115,16 +115,16 @@ TEST_F(ReconfigChain, RoutingEntriesFlipAlongPathOnly) {
   move(2, 5);
   // Post-move: subscription last hops must point towards broker 5.
   // Broker 1 (off the move path 2..5? broker 1 is off-path).
-  const auto* e1 = net_.broker(1).tables().find_sub(sub_id_);
+  const auto* e1 = net_.broker(1).tables().prt().find(sub_id_);
   ASSERT_NE(e1, nullptr);
   EXPECT_EQ(e1->lasthop, Hop::of_broker(2)) << "off-path broker unchanged";
   for (BrokerId b = 2; b <= 4; ++b) {
-    const auto* e = net_.broker(b).tables().find_sub(sub_id_);
+    const auto* e = net_.broker(b).tables().prt().find(sub_id_);
     ASSERT_NE(e, nullptr) << b;
     EXPECT_EQ(e->lasthop, Hop::of_broker(b + 1)) << b;
     EXPECT_FALSE(e->shadow_lasthop.has_value()) << b;
   }
-  const auto* e5 = net_.broker(5).tables().find_sub(sub_id_);
+  const auto* e5 = net_.broker(5).tables().prt().find(sub_id_);
   ASSERT_NE(e5, nullptr);
   EXPECT_EQ(e5->lasthop, Hop::of_client(kMover));
 }
@@ -313,15 +313,15 @@ TEST_F(ReconfigPublisherMove, AdvLastHopsFlipAlongPath) {
   });
   // Brokers 2..4 now see the advertisement coming from the target side.
   for (BrokerId b = 2; b <= 4; ++b) {
-    const auto* e = net_.broker(b).tables().find_adv(adv_id_);
+    const auto* e = net_.broker(b).tables().srt().find(adv_id_);
     ASSERT_NE(e, nullptr) << b;
     EXPECT_EQ(e->lasthop, Hop::of_broker(b + 1)) << b;
   }
-  const auto* e5 = net_.broker(5).tables().find_adv(adv_id_);
+  const auto* e5 = net_.broker(5).tables().srt().find(adv_id_);
   ASSERT_NE(e5, nullptr);
   EXPECT_EQ(e5->lasthop, Hop::of_client(kMover));
   // Off-path broker 1 unchanged.
-  EXPECT_EQ(net_.broker(1).tables().find_adv(adv_id_)->lasthop,
+  EXPECT_EQ(net_.broker(1).tables().srt().find(adv_id_)->lasthop,
             Hop::of_broker(2));
 }
 

@@ -96,7 +96,7 @@ TEST_F(TraditionalFixture, ReissuedSubscriptionHasFreshIncarnation) {
   EXPECT_EQ(stub->subscriptions()[0].id.client, kMover);
   // The old incarnation is gone from the network.
   for (BrokerId b = 1; b <= 5; ++b) {
-    EXPECT_EQ(net_.broker(b).tables().find_sub(sub_id_), nullptr) << b;
+    EXPECT_EQ(net_.broker(b).tables().prt().find(sub_id_), nullptr) << b;
   }
 }
 

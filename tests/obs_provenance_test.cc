@@ -63,16 +63,16 @@ TEST(RoutingVersion, BumpsOnEveryTableMutation) {
   RoutingTables rt;
   std::uint64_t last = rt.version();
   const Subscription sub{{100, 1}, workload_filter(WorkloadKind::Covered, 2)};
-  rt.upsert_sub(sub, Hop::of_broker(2));
+  rt.prt().upsert(sub, Hop::of_broker(2));
   EXPECT_GT(rt.version(), last);
   last = rt.version();
-  rt.install_sub_shadow(sub, Hop::of_broker(3), 99);
+  rt.prt().install_shadow(sub, Hop::of_broker(3), 99);
   EXPECT_GT(rt.version(), last);
   last = rt.version();
-  rt.commit_shadow(sub.id, 99);
+  rt.prt().commit_shadow(sub.id, 99);
   EXPECT_GT(rt.version(), last);
   last = rt.version();
-  rt.erase_sub(sub.id);
+  rt.prt().erase(sub.id);
   EXPECT_GT(rt.version(), last);
 }
 

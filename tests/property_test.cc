@@ -22,7 +22,7 @@
 
 #include "core/mobility_engine.h"
 #include "pubsub/workload.h"
-#include "routing/auditor.h"
+#include "routing_reference.h"
 #include "sim/network.h"
 
 namespace tmps {
@@ -277,7 +277,7 @@ TEST(RoutingIsolation, OtherClientsEntriesUntouchedByMove) {
   auto snapshot = [&] {
     std::map<BrokerId, std::pair<Hop, std::set<Hop>>> snap;
     for (BrokerId b = 1; b <= w.overlay.broker_count(); ++b) {
-      const SubEntry* e = w.net.broker(b).tables().find_sub({1000, 1});
+      const SubEntry* e = w.net.broker(b).tables().prt().find({1000, 1});
       if (e) {
         snap[b] = {e->lasthop,
                    std::set<Hop>(e->forwarded_to.begin(),

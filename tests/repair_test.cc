@@ -53,7 +53,7 @@ TEST(Repair, OrphanedClientEntryIsRetracted) {
   Scenario s(cfg);
   s.run();
 
-  EXPECT_EQ(s.net().broker(4).tables().find_sub(orphan_id), nullptr);
+  EXPECT_EQ(s.net().broker(4).tables().prt().find(orphan_id), nullptr);
   ASSERT_NE(repair->engine_of(4), nullptr);
   EXPECT_GE(repair->engine_of(4)->stats().orphans_retracted, 1u);
 }
@@ -73,7 +73,7 @@ TEST(Repair, DisabledRepairLeavesOrphan) {
   Scenario s(cfg);
   s.run();
 
-  EXPECT_NE(s.net().broker(4).tables().find_sub(orphan_id), nullptr);
+  EXPECT_NE(s.net().broker(4).tables().prt().find(orphan_id), nullptr);
   EXPECT_TRUE(repair->engines.empty());
 }
 
@@ -101,7 +101,7 @@ TEST(Repair, DigestExchangeReissuesLostForward) {
   s.run();
 
   ASSERT_TRUE(corrupted) << "no forwarded entry found to corrupt";
-  EXPECT_NE(s.net().broker(9).tables().find_sub(lost), nullptr)
+  EXPECT_NE(s.net().broker(9).tables().prt().find(lost), nullptr)
       << "digest/request/reissue should reinstall the lost entry";
   ASSERT_NE(repair->engine_of(9), nullptr);
   EXPECT_GE(repair->engine_of(9)->stats().reissues_requested, 1u);
@@ -132,7 +132,7 @@ TEST(Repair, QuenchReconcileRestoresMissingForward) {
   s.run();
 
   ASSERT_TRUE(corrupted) << "no forwarded entry found to corrupt";
-  const SubEntry* e = s.net().broker(8).tables().find_sub(quenched);
+  const SubEntry* e = s.net().broker(8).tables().prt().find(quenched);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->forwarded_to.contains(Hop::of_broker(9)));
   ASSERT_NE(repair->engine_of(8), nullptr);

@@ -17,24 +17,24 @@ Advertisement adv(std::uint32_t seq) {
 
 TEST(RoutingTables, UpsertAndFind) {
   RoutingTables rt;
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_broker(2));
-  EXPECT_EQ(rt.sub_count(), 1u);
-  auto* e = rt.find_sub({10, 1});
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_broker(2));
+  EXPECT_EQ(rt.prt().size(), 1u);
+  auto* e = rt.prt().find({10, 1});
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->lasthop, Hop::of_broker(2));
   // Upsert with a new hop updates in place.
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_broker(3));
-  EXPECT_EQ(rt.sub_count(), 1u);
-  EXPECT_EQ(rt.find_sub({10, 1})->lasthop, Hop::of_broker(3));
-  rt.erase_sub({10, 1});
-  EXPECT_EQ(rt.find_sub({10, 1}), nullptr);
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_broker(3));
+  EXPECT_EQ(rt.prt().size(), 1u);
+  EXPECT_EQ(rt.prt().find({10, 1})->lasthop, Hop::of_broker(3));
+  rt.prt().erase({10, 1});
+  EXPECT_EQ(rt.prt().find({10, 1}), nullptr);
 }
 
 TEST(RoutingTables, MatchDedupsLinks) {
   RoutingTables rt;
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_broker(2));
-  rt.upsert_sub(sub(2, 0, 50), Hop::of_broker(2));
-  rt.upsert_sub(sub(3, 0, 50), Hop::of_broker(4));
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_broker(2));
+  rt.prt().upsert(sub(2, 0, 50), Hop::of_broker(2));
+  rt.prt().upsert(sub(3, 0, 50), Hop::of_broker(4));
   const auto mr = rt.match(Publication{{1, 1}, {{"class", "STOCK"},
                                                 {"x", 25}}});
   EXPECT_EQ(mr.links.size(), 2u);
@@ -44,7 +44,7 @@ TEST(RoutingTables, MatchDedupsLinks) {
 
 TEST(RoutingTables, MatchSkipsNonMatching) {
   RoutingTables rt;
-  rt.upsert_sub(sub(1, 0, 10), Hop::of_broker(2));
+  rt.prt().upsert(sub(1, 0, 10), Hop::of_broker(2));
   const auto mr = rt.match(Publication{{1, 1}, {{"class", "STOCK"},
                                                 {"x", 25}}});
   EXPECT_TRUE(mr.links.empty());
@@ -53,8 +53,8 @@ TEST(RoutingTables, MatchSkipsNonMatching) {
 
 TEST(RoutingTables, ShadowInstallCommit) {
   RoutingTables rt;
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_client(10));
-  rt.install_sub_shadow(sub(1, 0, 100), Hop::of_broker(5), /*txn=*/77);
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_client(10));
+  rt.prt().install_shadow(sub(1, 0, 100), Hop::of_broker(5), /*txn=*/77);
 
   // Both hops are live while the transaction is in flight.
   const auto hops = rt.match(Publication{{1, 1}, {{"class", "STOCK"},
@@ -62,8 +62,8 @@ TEST(RoutingTables, ShadowInstallCommit) {
   EXPECT_EQ(hops.size(), 2u);
   EXPECT_TRUE(rt.has_pending_shadows());
 
-  rt.commit_shadow({10, 1}, 77);
-  auto* e = rt.find_sub({10, 1});
+  rt.prt().commit_shadow({10, 1}, 77);
+  auto* e = rt.prt().find({10, 1});
   EXPECT_EQ(e->lasthop, Hop::of_broker(5));
   EXPECT_FALSE(e->shadow_lasthop.has_value());
   EXPECT_FALSE(rt.has_pending_shadows());
@@ -71,10 +71,10 @@ TEST(RoutingTables, ShadowInstallCommit) {
 
 TEST(RoutingTables, ShadowAbortRestoresOriginal) {
   RoutingTables rt;
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_client(10));
-  rt.install_sub_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
-  rt.abort_shadow({10, 1}, 77);
-  auto* e = rt.find_sub({10, 1});
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_client(10));
+  rt.prt().install_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
+  rt.prt().abort_shadow({10, 1}, 77);
+  auto* e = rt.prt().find({10, 1});
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->lasthop, Hop::of_client(10));
   EXPECT_FALSE(rt.has_pending_shadows());
@@ -82,18 +82,18 @@ TEST(RoutingTables, ShadowAbortRestoresOriginal) {
 
 TEST(RoutingTables, ShadowOnlyEntryVanishesOnAbort) {
   RoutingTables rt;
-  rt.install_sub_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
-  EXPECT_EQ(rt.sub_count(), 1u);
-  EXPECT_TRUE(rt.find_sub({10, 1})->shadow_only);
-  rt.abort_shadow({10, 1}, 77);
-  EXPECT_EQ(rt.sub_count(), 0u);
+  rt.prt().install_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
+  EXPECT_EQ(rt.prt().size(), 1u);
+  EXPECT_TRUE(rt.prt().find({10, 1})->shadow_only);
+  rt.prt().abort_shadow({10, 1}, 77);
+  EXPECT_EQ(rt.prt().size(), 0u);
 }
 
 TEST(RoutingTables, ShadowOnlyEntryBecomesRealOnCommit) {
   RoutingTables rt;
-  rt.install_sub_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
-  rt.commit_shadow({10, 1}, 77);
-  auto* e = rt.find_sub({10, 1});
+  rt.prt().install_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
+  rt.prt().commit_shadow({10, 1}, 77);
+  auto* e = rt.prt().find({10, 1});
   ASSERT_NE(e, nullptr);
   EXPECT_FALSE(e->shadow_only);
   EXPECT_EQ(e->lasthop, Hop::of_broker(5));
@@ -101,17 +101,17 @@ TEST(RoutingTables, ShadowOnlyEntryBecomesRealOnCommit) {
 
 TEST(RoutingTables, CommitWithWrongTxnIsNoop) {
   RoutingTables rt;
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_client(10));
-  rt.install_sub_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
-  rt.commit_shadow({10, 1}, 78);  // different transaction
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_client(10));
+  rt.prt().install_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
+  rt.prt().commit_shadow({10, 1}, 78);  // different transaction
   EXPECT_TRUE(rt.has_pending_shadows());
-  rt.abort_shadow({10, 1}, 78);  // also a no-op
+  rt.prt().abort_shadow({10, 1}, 78);  // also a no-op
   EXPECT_TRUE(rt.has_pending_shadows());
 }
 
 TEST(RoutingTables, ShadowOnlyEntryDoesNotRouteViaPrimary) {
   RoutingTables rt;
-  rt.install_sub_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
+  rt.prt().install_shadow(sub(1, 0, 100), Hop::of_broker(5), 77);
   const auto mr = rt.match(Publication{{1, 1}, {{"class", "STOCK"},
                                                 {"x", 25}}});
   ASSERT_EQ(mr.links.size(), 1u);
@@ -121,24 +121,24 @@ TEST(RoutingTables, ShadowOnlyEntryDoesNotRouteViaPrimary) {
 
 TEST(RoutingTables, AdvShadowLifecycle) {
   RoutingTables rt;
-  rt.upsert_adv(adv(1), Hop::of_client(20));
-  rt.install_adv_shadow(adv(1), Hop::of_broker(3), 5);
+  rt.srt().upsert(adv(1), Hop::of_client(20));
+  rt.srt().install_shadow(adv(1), Hop::of_broker(3), 5);
   EXPECT_TRUE(rt.has_pending_shadows());
-  rt.commit_adv_shadow({20, 1}, 5);
-  EXPECT_EQ(rt.find_adv({20, 1})->lasthop, Hop::of_broker(3));
-  rt.install_adv_shadow(adv(1), Hop::of_broker(4), 6);
-  rt.abort_adv_shadow({20, 1}, 6);
-  EXPECT_EQ(rt.find_adv({20, 1})->lasthop, Hop::of_broker(3));
+  rt.srt().commit_shadow({20, 1}, 5);
+  EXPECT_EQ(rt.srt().find({20, 1})->lasthop, Hop::of_broker(3));
+  rt.srt().install_shadow(adv(1), Hop::of_broker(4), 6);
+  rt.srt().abort_shadow({20, 1}, 6);
+  EXPECT_EQ(rt.srt().find({20, 1})->lasthop, Hop::of_broker(3));
 }
 
 TEST(RoutingTables, IntersectionQueries) {
   RoutingTables rt;
-  rt.upsert_adv(adv(1), Hop::of_broker(2));
-  rt.upsert_sub(sub(1, 0, 100), Hop::of_broker(3));
-  EXPECT_EQ(rt.intersecting_advs(sub(1, 0, 100).filter).size(), 1u);
-  EXPECT_EQ(rt.subs_intersecting(adv(1).filter).size(), 1u);
+  rt.srt().upsert(adv(1), Hop::of_broker(2));
+  rt.prt().upsert(sub(1, 0, 100), Hop::of_broker(3));
+  EXPECT_EQ(rt.srt().intersecting(sub(1, 0, 100).filter).size(), 1u);
+  EXPECT_EQ(rt.prt().intersecting(adv(1).filter).size(), 1u);
   Filter narrow = Filter::build().attr("class").eq("BOND");
-  EXPECT_TRUE(rt.intersecting_advs(narrow).empty());
+  EXPECT_TRUE(rt.srt().intersecting(narrow).empty());
 }
 
 }  // namespace

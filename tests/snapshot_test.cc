@@ -19,38 +19,36 @@ RoutingTables populated_tables() {
     const Subscription s{{100 + i, 1},
                          workload_filter(WorkloadKind::Covered,
                                          static_cast<int>(i % 10) + 1, i / 10)};
-    auto& e = rt.upsert_sub(s, i % 3 == 0 ? Hop::of_client(100 + i)
+    auto& e = rt.prt().upsert(s, i % 3 == 0 ? Hop::of_client(100 + i)
                                           : Hop::of_broker(1 + i % 4));
     if (i % 2 == 0) e.forwarded_to.insert(Hop::of_broker(5));
     if (i % 5 == 0) e.forwarded_to.insert(Hop::of_broker(2));
   }
-  rt.upsert_adv({{1, 1}, full_space_advertisement()}, Hop::of_broker(3))
+  rt.srt().upsert({{1, 1}, full_space_advertisement()}, Hop::of_broker(3))
       .forwarded_to.insert(Hop::of_broker(4));
   // One entry carrying shadow state.
-  rt.install_sub_shadow({{999, 1}, workload_filter(WorkloadKind::Tree, 2, 0)},
-                        Hop::of_broker(2), /*txn=*/42);
+  rt.prt().install_shadow(
+      {{999, 1}, workload_filter(WorkloadKind::Tree, 2, 0)}, Hop::of_broker(2),
+      /*txn=*/42);
   return rt;
 }
 
 bool entries_equal(const RoutingTables& a, const RoutingTables& b) {
-  if (a.sub_count() != b.sub_count() || a.adv_count() != b.adv_count()) {
-    return false;
-  }
-  for (const auto& [id, e] : a.prt()) {
-    const SubEntry* o = b.find_sub(id);
-    if (!o || o->lasthop != e.lasthop ||
-        o->forwarded_to != e.forwarded_to ||
-        o->shadow_lasthop != e.shadow_lasthop ||
-        o->shadow_txn != e.shadow_txn || o->shadow_only != e.shadow_only ||
-        !(o->sub == e.sub)) {
-      return false;
+  const auto same = [](const auto& x, const auto& y) {
+    if (x.size() != y.size()) return false;
+    for (const auto& [id, e] : x) {
+      const auto* o = y.find(id);
+      if (!o || o->lasthop != e.lasthop ||
+          o->forwarded_to != e.forwarded_to ||
+          o->shadow_lasthop != e.shadow_lasthop ||
+          o->shadow_txn != e.shadow_txn || o->shadow_only != e.shadow_only ||
+          !(o->item == e.item)) {
+        return false;
+      }
     }
-  }
-  for (const auto& [id, e] : a.srt()) {
-    const AdvEntry* o = b.find_adv(id);
-    if (!o || o->lasthop != e.lasthop || !(o->adv == e.adv)) return false;
-  }
-  return true;
+    return true;
+  };
+  return same(a.prt(), b.prt()) && same(a.srt(), b.srt());
 }
 
 TEST(Snapshot, RoundTripPreservesEverything) {
@@ -69,7 +67,7 @@ TEST(Snapshot, RestoredTablesMatchPublications) {
   for (std::int64_t g = 0; g <= 3; ++g) {
     for (std::int64_t x = 0; x <= 10000; x += 777) {
       const Publication p = make_publication({5, 5}, x, g);
-      EXPECT_EQ(rt.matching_subs(p).size(), back.matching_subs(p).size())
+      EXPECT_EQ(rt.match(p).matched, back.match(p).matched)
           << "x=" << x << " g=" << g;
     }
   }
@@ -78,21 +76,21 @@ TEST(Snapshot, RestoredTablesMatchPublications) {
 TEST(Snapshot, EmptyTables) {
   RoutingTables rt, back;
   ASSERT_TRUE(restore_tables(snapshot_tables(rt), back));
-  EXPECT_EQ(back.sub_count(), 0u);
-  EXPECT_EQ(back.adv_count(), 0u);
+  EXPECT_EQ(back.prt().size(), 0u);
+  EXPECT_EQ(back.srt().size(), 0u);
 }
 
 TEST(Snapshot, MalformedInputRejectedCleanly) {
   RoutingTables back;
   EXPECT_FALSE(restore_tables("garbage", back));
-  EXPECT_EQ(back.sub_count(), 0u);
+  EXPECT_EQ(back.prt().size(), 0u);
   const std::string good = snapshot_tables(populated_tables());
   for (std::size_t cut : {std::size_t{0}, std::size_t{3}, good.size() / 2,
                           good.size() - 1}) {
     EXPECT_FALSE(
         restore_tables(std::string_view(good).substr(0, cut), back))
         << cut;
-    EXPECT_EQ(back.sub_count(), 0u) << "failed restore must leave empty";
+    EXPECT_EQ(back.prt().size(), 0u) << "failed restore must leave empty";
   }
   // Trailing garbage rejected too.
   EXPECT_FALSE(restore_tables(good + "x", back));
@@ -150,8 +148,8 @@ TEST_F(CheckpointTest, RecoveryFromCheckpointRestoresState) {
   }
   DurableNode node(2, &overlay_, dir_);
   node.recover();
-  EXPECT_EQ(node.broker().tables().sub_count(), 25u);
-  EXPECT_EQ(node.broker().tables().adv_count(), 1u);
+  EXPECT_EQ(node.broker().tables().prt().size(), 25u);
+  EXPECT_EQ(node.broker().tables().srt().size(), 1u);
 }
 
 TEST_F(CheckpointTest, UnprocessedTailAfterCheckpointReplaysWithOutputs) {
@@ -165,7 +163,7 @@ TEST_F(CheckpointTest, UnprocessedTailAfterCheckpointReplaysWithOutputs) {
   const auto out = node.recover();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].first, 3u);  // forwarded towards the advertiser
-  EXPECT_EQ(node.broker().tables().sub_count(), 1u);
+  EXPECT_EQ(node.broker().tables().prt().size(), 1u);
 }
 
 TEST_F(CheckpointTest, RepeatedCheckpointsAndRecoveries) {
@@ -181,7 +179,7 @@ TEST_F(CheckpointTest, RepeatedCheckpointsAndRecoveries) {
     DurableNode node(2, &overlay_, dir_);
     node.recover();
     node.checkpoint();
-    EXPECT_EQ(node.broker().tables().sub_count(), 10u) << round;
+    EXPECT_EQ(node.broker().tables().prt().size(), 10u) << round;
   }
 }
 
@@ -201,8 +199,8 @@ TEST_F(CheckpointTest, CorruptSnapshotFallsBackToEmptyPlusTail) {
   DurableNode node(2, &overlay_, dir_);
   node.recover();  // must not crash; pre-checkpoint state is lost
   // Only the post-checkpoint subscription is recovered.
-  EXPECT_EQ(node.broker().tables().sub_count(), 1u);
-  EXPECT_EQ(node.broker().tables().adv_count(), 0u);
+  EXPECT_EQ(node.broker().tables().prt().size(), 1u);
+  EXPECT_EQ(node.broker().tables().srt().size(), 0u);
 }
 
 }  // namespace
