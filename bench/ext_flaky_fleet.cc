@@ -151,7 +151,6 @@ FleetResult run_one(bool with_sessions, double duration,
   sc.buffer_max_count = 5;  // small enough that hot flappers overflow
   sc.tick_interval = 0.5;
 
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::vector<std::unique_ptr<SessionManager>> managers;
 
   struct Delivery {
@@ -177,10 +176,7 @@ FleetResult run_one(bool with_sessions, double duration,
   std::map<ClientId, Edge> fleet;
 
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-    MobilityEngine* eng = engines.back().get();
-    eng->set_transmit(
-        [&net, b](Broker::Outputs out) { net.transmit(b, std::move(out)); });
+    MobilityEngine* eng = &net.engine(b);
     eng->set_delivery_sink(
         [&deliveries, b](ClientId c, const Publication& p, SimTime t) {
           deliveries.push_back({b, c, p.id(), t});
@@ -203,18 +199,10 @@ FleetResult run_one(bool with_sessions, double duration,
       });
     }
   }
-  auto eng = [&](BrokerId b) -> MobilityEngine& { return *engines[b - 1]; };
   auto mgr = [&](BrokerId b) -> SessionManager& { return *managers[b - 1]; };
-  auto op = [&](BrokerId b,
-                const std::function<void(MobilityEngine&, Broker::Outputs&)>&
-                    fn) {
-    Broker::Outputs out;
-    fn(eng(b), out);
-    net.transmit(b, std::move(out));
-  };
 
   // --- initial placement ---------------------------------------------------
-  op(kPubBroker, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run_on(kPubBroker, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kPublisher);
     e.advertise(kPublisher, full_space_advertisement(), out);
   });
@@ -222,7 +210,7 @@ FleetResult run_one(bool with_sessions, double duration,
   auto place = [&](ClientId c, BrokerId b) {
     fleet[c] = {b, true, session::kNoToken, c, 0};
     alias_window[c] = {0.0, 1e18};
-    op(b, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(b, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(c);
       e.subscribe(c, sub_filter, out);
     });
@@ -230,7 +218,7 @@ FleetResult run_one(bool with_sessions, double duration,
       std::optional<Publication> will;
       if (c >= lapsing_id(0)) {
         // The laggards advertise so their last-will publications can route.
-        op(b, [&](MobilityEngine& e, Broker::Outputs& out) {
+        net.run_on(b, [&](MobilityEngine& e, Broker::Outputs& out) {
           e.advertise(c, full_space_advertisement(), out);
         });
         will = make_publication({0, 0}, 100, 0);
@@ -252,8 +240,8 @@ FleetResult run_one(bool with_sessions, double duration,
   std::uint64_t published = 0;
   for (double t = 5.0; t < duration - 2.0; t += 0.5) {
     const std::uint32_t seq = ++published;
-    net.events().schedule_at(t, [&net, &op, seq] {
-      op(kPubBroker, [seq](MobilityEngine& e, Broker::Outputs& out) {
+    net.events().schedule_at(t, [&net, seq] {
+      net.run_on(kPubBroker, [seq](MobilityEngine& e, Broker::Outputs& out) {
         e.publish(kPublisher, make_publication({kPublisher, seq}, 100, 0),
                   out);
       });
@@ -281,7 +269,7 @@ FleetResult run_one(bool with_sessions, double duration,
     e.generation++;
     e.alias = c + static_cast<ClientId>(100000) * e.generation;
     alias_window[e.alias] = {now, 1e18};
-    op(to, [&](MobilityEngine& eng2, Broker::Outputs& out) {
+    net.run_on(to, [&](MobilityEngine& eng2, Broker::Outputs& out) {
       eng2.connect_client(e.alias);
       eng2.subscribe(e.alias, sub_filter, out);
     });
@@ -292,7 +280,7 @@ FleetResult run_one(bool with_sessions, double duration,
     e.online = true;
     if (with_sessions) {
       e.at = to;
-      op(to, [&](MobilityEngine&, Broker::Outputs& out) {
+      net.run_on(to, [&](MobilityEngine&, Broker::Outputs& out) {
         mgr(to).reattach(c, e.token, out);
       });
     } else {
@@ -321,12 +309,12 @@ FleetResult run_one(bool with_sessions, double duration,
       const BrokerId to = static_cast<BrokerId>(5 + k);
       if (with_sessions) {
         e.at = to;
-        op(to, [&](MobilityEngine& eng2, Broker::Outputs& out) {
+        net.run_on(to, [&](MobilityEngine& eng2, Broker::Outputs& out) {
           eng2.connect_client(c);
           e.token = mgr(to).open(c);
           (void)out;
         });
-        op(to, [&](MobilityEngine& eng2, Broker::Outputs& out) {
+        net.run_on(to, [&](MobilityEngine& eng2, Broker::Outputs& out) {
           eng2.subscribe(c, sub_filter, out);
         });
       } else {

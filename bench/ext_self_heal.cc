@@ -126,8 +126,8 @@ HealResult run_one(bool repair_on, const std::string& run_label) {
   r.stationary_losses = s.audit().stationary_losses;
   r.audit_clean = s.audit_report().clean();
   r.audit_violations = s.audit_report().violations.size();
-  for (const auto& [b, engine] : s.engines()) {
-    if (engine->broker().tables().has_pending_shadows()) ++r.shadow_brokers;
+  for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+    if (s.net().broker(b).tables().has_pending_shadows()) ++r.shadow_brokers;
   }
   std::uint64_t final_ops = 0;
   for (const auto& e : repair->engines) {

@@ -37,46 +37,35 @@ HandoverResult run_handover(MobilityProtocol proto) {
   // Covering quenching is only sound under the covering protocol.
   bc.subscription_covering = proto == MobilityProtocol::Traditional;
   bc.advertisement_covering = bc.subscription_covering;
-  SimNetwork net(overlay, bc);
-
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
-  std::uint64_t actions_handled = 0;
   MobilityConfig mc;
   mc.protocol = proto;
+  SimNetwork net(overlay, bc, NetworkProfile::lan(), mc);
+
+  std::uint64_t actions_handled = 0;
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net, mc));
-    engines.back()->set_transmit(
-        [&net, b](Broker::Outputs out) { net.transmit(b, std::move(out)); });
-    engines.back()->set_delivery_sink(
+    net.engine(b).set_delivery_sink(
         [&](ClientId c, const Publication&, SimTime) {
           if (c == kZoneManager) ++actions_handled;
         });
   }
-  auto run_on = [&](BrokerId b,
-                    const std::function<void(MobilityEngine&,
-                                             Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
-  };
 
   // Player gateways at the four corner brokers publish player actions.
   const BrokerId gateways[] = {6, 7, 10, 11};
   for (int g = 0; g < 4; ++g) {
     const ClientId gw = 100 + g;
-    run_on(gateways[g], [gw](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(gateways[g], [gw](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(gw);
       e.advertise(gw, actions_adv(), out);
     });
   }
   // The zone manager for zone 0 starts in the "European data centre"
   // (broker 1). Other zones' managers are stationary background clients.
-  run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kZoneManager);
     e.subscribe(kZoneManager, zone_filter(0), out);
   });
   for (int z = 1; z < kZones; ++z) {
-    run_on(14, [z](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(14, [z](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(20 + z);
       e.subscribe(20 + z, zone_filter(z), out);
     });
@@ -93,7 +82,7 @@ HandoverResult run_handover(MobilityProtocol proto) {
                          {{"topic", "player-action"},
                           {"zone", std::int64_t{i % kZones}},
                           {"player", std::int64_t{i * 7 % 97}}});
-      run_on(gateways[g], [&](MobilityEngine& e, Broker::Outputs& out) {
+      net.run_on(gateways[g], [&](MobilityEngine& e, Broker::Outputs& out) {
         e.publish(gw, std::move(action), out);
       });
     });
@@ -102,7 +91,7 @@ HandoverResult run_handover(MobilityProtocol proto) {
   // At t=5s the player population shifts towards the "Asian data centre"
   // (broker 13): hand the zone over.
   net.events().schedule_at(5.0, [&] {
-    run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
       e.initiate_move(kZoneManager, 13, out);
     });
   });

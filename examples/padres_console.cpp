@@ -48,13 +48,11 @@ int main() {
   bc.advertisement_covering = false;
   TcpTransport net(overlay, /*base_port=*/0, bc);
 
-  EngineDirectory directory;
   std::map<std::string, ClientId> names;
   std::map<ClientId, std::string> ids;
   ClientId next_id = 1;
 
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    directory.add(net.engine(b));
     net.engine(b).set_delivery_sink(
         [&ids](ClientId c, const Publication& p, SimTime) {
           const auto it = ids.find(c);
@@ -84,7 +82,7 @@ int main() {
     }
     if (cmd == "status") {
       for (const auto& [name, id] : names) {
-        MobileClient c(id, directory);
+        MobileClient c(id, net);
         std::printf("  %-10s at broker %u (%s)\n", name.c_str(),
                     c.location(), to_string(c.state()));
       }
@@ -107,7 +105,7 @@ int main() {
       const ClientId id = next_id++;
       names[name] = id;
       ids[id] = name;
-      MobileClient::connect(id, broker, directory);
+      MobileClient::connect(id, broker, net);
       std::printf("  %s connected at broker %u\n", name.c_str(), broker);
       continue;
     }
@@ -117,7 +115,7 @@ int main() {
       std::printf("  !! unknown client '%s'\n", name.c_str());
       continue;
     }
-    MobileClient client(it->second, directory);
+    MobileClient client(it->second, net);
 
     if (cmd == "where") {
       std::printf("  %s is at broker %u\n", name.c_str(), client.location());

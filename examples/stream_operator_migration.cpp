@@ -7,7 +7,6 @@
 //
 //   build/examples/stream_operator_migration
 #include <cstdio>
-#include <map>
 #include <set>
 
 #include "core/mobility_engine.h"
@@ -34,7 +33,6 @@ Filter aggregates_filter() {
 int main() {
   const Overlay overlay = Overlay::paper_default();
   SimNetwork net(overlay);
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
 
   // Operator state: running sum of the current window. This is exactly the
   // state that must move with the client.
@@ -47,11 +45,8 @@ int main() {
   int duplicate_windows = 0;
 
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-    auto* eng = engines.back().get();
-    eng->set_transmit(
-        [&net, b](Broker::Outputs out) { net.transmit(b, std::move(out)); });
-    eng->set_delivery_sink([&](ClientId c, const Publication& p, SimTime t) {
+    net.engine(b).set_delivery_sink([&, b](ClientId c, const Publication& p,
+                                           SimTime t) {
       if (c == kOperator) {
         // The operator folds each reading into its window aggregate and
         // emits when the window closes. Note: this runs wherever the
@@ -61,13 +56,10 @@ int main() {
           Publication agg({0, 0}, {{"stream", "aggregates"},
                                    {"sum", op_state.sum},
                                    {"window", std::int64_t{op_state.window}}});
-          MobilityEngine* host = nullptr;
-          for (auto& e : engines) {
-            if (e->find_client(kOperator)) host = e.get();
-          }
-          Broker::Outputs out;
-          host->publish(kOperator, std::move(agg), out);
-          net.transmit(host->broker_id(), std::move(out));
+          // Deliveries come from the broker hosting the operator.
+          net.run_on(b, [&](MobilityEngine& e, Broker::Outputs& out) {
+            e.publish(kOperator, std::move(agg), out);
+          });
           op_state = {0, 0, op_state.window + 1};
         }
       } else if (c == kSink) {
@@ -78,16 +70,9 @@ int main() {
       }
     });
   }
-  auto run_on = [&](BrokerId b,
-                    const std::function<void(MobilityEngine&,
-                                             Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
-  };
 
   // Wire the dataflow: sensor -> operator -> sink.
-  run_on(6, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run_on(6, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kSensor);
     e.advertise(kSensor,
                 Filter{eq("stream", "readings"),
@@ -96,7 +81,7 @@ int main() {
                        ge("seq", std::int64_t{0})},
                 out);
   });
-  run_on(5, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run_on(5, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kOperator);
     e.subscribe(kOperator, readings_filter(), out);
     e.advertise(kOperator,
@@ -105,7 +90,7 @@ int main() {
                        ge("window", std::int64_t{0})},
                 out);
   });
-  run_on(13, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run_on(13, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kSink);
     e.subscribe(kSink, aggregates_filter(), out);
   });
@@ -117,7 +102,7 @@ int main() {
       Publication r({0, 0}, {{"stream", "readings"},
                              {"value", std::int64_t{i}},
                              {"seq", std::int64_t{i}}});
-      run_on(6, [&](MobilityEngine& e, Broker::Outputs& out) {
+      net.run_on(6, [&](MobilityEngine& e, Broker::Outputs& out) {
         e.publish(kSensor, std::move(r), out);
       });
     });
@@ -128,7 +113,7 @@ int main() {
   // all move in one transaction.
   net.events().schedule_at(5.0, [&] {
     std::printf("  [t= 5.000s] *** migrating operator: broker 5 -> 12 ***\n");
-    run_on(5, [](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(5, [](MobilityEngine& e, Broker::Outputs& out) {
       e.initiate_move(kOperator, 12, out);
     });
   });

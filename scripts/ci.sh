@@ -8,8 +8,9 @@
 #      caught lifetime bugs the plain run cannot;
 #   3. a ThreadSanitizer build (-DTMPS_SANITIZE=thread) scoped to the
 #      threaded code paths: the TCP transport, the HTTP admin endpoints,
-#      the broker fixtures they drive, the TCP session client/host and the
-#      flight recorder's concurrent writers and readers;
+#      the broker fixtures they drive, the TCP session client/host, the
+#      flight recorder's concurrent writers and readers, and the host-shape
+#      script (MobileClient driving TcpTransport through run_on);
 #   4. an audit leg: the fig09 workload sweep with tracing and the embedded
 #      movement-invariant auditor enabled, re-checked from the emitted JSONL
 #      files by tools/tmps_audit. Any invariant violation fails the leg.
@@ -102,7 +103,7 @@ run_suite build-asan -DTMPS_SANITIZE=address
 # single-threaded; running the whole suite under TSan would triple CI time
 # for no extra coverage).
 run_suite build-tsan \
-  --filter '^(TcpTest|HttpAdmin|BrokerChain|BrokerCovering|SessionTcp|FlightRecorder)' \
+  --filter '^(TcpTest|HttpAdmin|BrokerChain|BrokerCovering|SessionTcp|FlightRecorder|HostShape)' \
   -DTMPS_SANITIZE=thread
 
 echo "=== audit leg: fig09 under the movement-invariant auditor ==="

@@ -145,10 +145,6 @@ void Broker::inject_unadvertise(Hop from, const AdvertisementId& id,
                                 TxnId cause, std::vector<Output>& out) {
   do_unadvertise(from, id, cause, out);
 }
-void Broker::inject_publish(Hop from, const Publication& pub, TxnId cause,
-                            std::vector<Output>& out) {
-  do_publish(from, pub, cause, out);
-}
 
 std::vector<Hop> Broker::flood_links() const {
   std::vector<Hop> flood;
@@ -470,10 +466,6 @@ void Broker::snapshot(obs::BrokerSnapshot& snap) const {
   std::sort(snap.prt.begin(), snap.prt.end(), by_id);
   std::sort(snap.srt.begin(), snap.srt.end(), by_id);
   if (control_ != nullptr) control_->snapshot_into(snap);
-}
-
-std::string Broker::debug_string() const {
-  return "B" + std::to_string(id_) + " " + tables_.debug_string();
 }
 
 }  // namespace tmps

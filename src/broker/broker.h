@@ -163,8 +163,6 @@ class Broker {
                         std::vector<Output>& out);
   void inject_unadvertise(Hop from, const AdvertisementId& id, TxnId cause,
                           std::vector<Output>& out);
-  void inject_publish(Hop from, const Publication& pub, TxnId cause,
-                      std::vector<Output>& out);
 
   /// Applies a burst of routing mutations in one forwarding-index batch
   /// (RoutingTables::apply_batch) and transmits every resulting delta. Used
@@ -185,8 +183,6 @@ class Broker {
   /// — via the control handler — hosted clients and in-flight movement
   /// transactions. The host sets time/run/final_snapshot.
   void snapshot(obs::BrokerSnapshot& snap) const;
-
-  std::string debug_string() const;
 
  private:
   void do_subscribe(Hop from, const Subscription& sub, TxnId cause,

@@ -17,15 +17,9 @@ constexpr double kAbortBackoff = 10.0;
 
 }  // namespace
 
-Balancer::Balancer(ControlConfig cfg, RuntimeEnv& env, const Overlay& overlay,
-                   std::map<BrokerId, MobilityEngine*> engines)
-    : cfg_(cfg),
-      env_(&env),
-      overlay_(&overlay),
-      engines_(std::move(engines)),
-      estimator_(cfg),
-      policy_(cfg, &overlay) {
-  if (obs::MetricsRegistry* m = env_->metrics()) {
+Balancer::Balancer(ControlConfig cfg, HostCore& host)
+    : cfg_(cfg), host_(&host), estimator_(cfg), policy_(cfg, &host.overlay()) {
+  if (obs::MetricsRegistry* m = host_->metrics()) {
     g_ratio_ = &m->gauge("control_imbalance_ratio");
     g_engaged_ = &m->gauge("control_engaged");
     g_inflight_ = &m->gauge("control_inflight_movements");
@@ -40,8 +34,8 @@ Balancer::Balancer(ControlConfig cfg, RuntimeEnv& env, const Overlay& overlay,
 void Balancer::start(double deadline) {
   deadline_ = deadline;
   const double first = std::max(cfg_.start_delay, cfg_.sample_interval);
-  if (env_->now() + first < deadline_) {
-    env_->schedule(first, [this] {
+  if (host_->now() + first < deadline_) {
+    host_->schedule(first, [this] {
       tick();
       schedule_next();
     });
@@ -51,8 +45,8 @@ void Balancer::start(double deadline) {
 void Balancer::schedule_next() {
   // Respect the deadline so a draining host (Scenario's post-duration
   // run-to-empty) is not kept alive by an immortal control loop.
-  if (env_->now() + cfg_.sample_interval >= deadline_) return;
-  env_->schedule(cfg_.sample_interval, [this] {
+  if (host_->now() + cfg_.sample_interval >= deadline_) return;
+  host_->schedule(cfg_.sample_interval, [this] {
     tick();
     schedule_next();
   });
@@ -60,8 +54,8 @@ void Balancer::schedule_next() {
 
 std::map<BrokerId, BrokerSignals> Balancer::gather_signals() const {
   std::map<BrokerId, BrokerSignals> sig;
-  const obs::MetricsRegistry* m = env_->metrics();
-  for (const auto& [b, engine] : engines_) {
+  const obs::MetricsRegistry* m = host_->metrics();
+  for (BrokerId b = 1; b <= host_->overlay().broker_count(); ++b) {
     const obs::Labels labels = {{"broker", std::to_string(b)}};
     BrokerSignals& s = sig[b];
     if (m) {
@@ -69,10 +63,10 @@ std::map<BrokerId, BrokerSignals> Balancer::gather_signals() const {
       s.pubs = m->counter_value("broker_publications_processed_total", labels);
       s.deliveries = m->counter_value("broker_deliveries_total", labels);
     }
-    const RoutingTables& tables = engine->broker().tables();
+    const RoutingTables& tables = host_->broker(b).tables();
     s.prt = tables.prt().size();
     s.srt = tables.srt().size();
-    s.clients = engine->hosted_clients();
+    s.clients = host_->engine(b).hosted_clients();
     if (backlog_) s.backlog_seconds = backlog_(b);
   }
   return sig;
@@ -80,10 +74,11 @@ std::map<BrokerId, BrokerSignals> Balancer::gather_signals() const {
 
 std::vector<ClientInfo> Balancer::gather_clients() const {
   std::vector<ClientInfo> out;
-  for (const auto& [b, engine] : engines_) {
-    const RoutingTables& tables = engine->broker().tables();
-    for (const ClientId id : engine->client_ids()) {
-      const ClientStub* stub = engine->find_client(id);
+  for (BrokerId b = 1; b <= host_->overlay().broker_count(); ++b) {
+    const MobilityEngine& engine = host_->engine(b);
+    const RoutingTables& tables = host_->broker(b).tables();
+    for (const ClientId id : engine.client_ids()) {
+      const ClientStub* stub = engine.find_client(id);
       if (!stub) continue;
       ClientInfo info;
       info.id = id;
@@ -123,10 +118,10 @@ void Balancer::execute(const std::vector<MoveDecision>& plan) {
   // apply_batch) rather than per-entry.
   for (const MoveDecision& d : plan) {
     if (inflight_.size() >= kMaxInflight) break;
-    MobilityEngine* engine = engines_.at(d.from);
-    MobilityEngine::Outputs out;
-    const MoveStart res = engine->try_initiate_move(d.client, d.to, out);
-    engine->emit(std::move(out));
+    MoveStart res;
+    host_->run_on(d.from, [&](MobilityEngine& e, Broker::Outputs& out) {
+      res = e.try_initiate_move(d.client, d.to, out);
+    });
     if (!res.started()) {
       // The census is one tick stale; a client can legitimately have moved
       // or paused since. Count it and replan next tick.
@@ -138,7 +133,7 @@ void Balancer::execute(const std::vector<MoveDecision>& plan) {
     policy_.on_move_started(d.client);
     ++state_.initiated;
     if (c_initiated_) c_initiated_->inc();
-    TMPS_EVENT(env_->tracer(), res.txn, "control:migrate",
+    TMPS_EVENT(host_->tracer(), res.txn, "control:migrate",
                {{"client", std::to_string(d.client)},
                 {"from", std::to_string(d.from)},
                 {"to", std::to_string(d.to)},
@@ -148,7 +143,7 @@ void Balancer::execute(const std::vector<MoveDecision>& plan) {
 
 void Balancer::tick() {
   ++state_.ticks;
-  const double now = env_->now();
+  const double now = host_->now();
   estimator_.sample(now, gather_signals());
   if (!estimator_.ready()) return;
 
@@ -169,17 +164,17 @@ void Balancer::on_movement(const MovementRecord& rec) {
   if (it == inflight_.end()) return;  // not one of ours
   const ClientId client = it->second;
   inflight_.erase(it);
-  policy_.on_move_finished(client, rec.committed, env_->now());
+  policy_.on_move_finished(client, rec.committed, host_->now());
   if (rec.committed) {
     ++state_.committed;
     ++moves_per_client_[client];
     if (c_committed_) c_committed_->inc();
   } else {
     ++state_.aborted;
-    state_.backoff_until = env_->now() + kAbortBackoff;
+    state_.backoff_until = host_->now() + kAbortBackoff;
     if (c_aborted_) c_aborted_->inc();
   }
-  TMPS_EVENT(env_->tracer(), rec.txn, "control:resolved",
+  TMPS_EVENT(host_->tracer(), rec.txn, "control:resolved",
              {{"client", std::to_string(client)},
               {"committed", rec.committed ? "true" : "false"}});
   if (g_inflight_) g_inflight_->set(static_cast<double>(inflight_.size()));
@@ -191,7 +186,7 @@ void Balancer::export_gauges() {
   g_ratio_->set(state_.imbalance_ratio);
   g_engaged_->set(state_.engaged ? 1.0 : 0.0);
   g_inflight_->set(static_cast<double>(inflight_.size()));
-  obs::MetricsRegistry* m = env_->metrics();
+  obs::MetricsRegistry* m = host_->metrics();
   for (const auto& [b, l] : estimator_.loads()) {
     m->gauge("control_broker_load", {{"broker", std::to_string(b)}})
         .set(l.score);

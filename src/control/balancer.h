@@ -1,6 +1,6 @@
 // The load-balancing control loop: samples broker load, plans migrations
 // (balance_policy.h) and executes them as movement transactions through the
-// mobility engines.
+// host's mobility engines (HostCore::run_on).
 //
 // The balancer is a *client of* the movement protocol, not part of it — it
 // initiates movements exactly as an application would (try_initiate_move)
@@ -32,8 +32,7 @@
 #include "broker/broker_config.h"
 #include "control/balance_policy.h"
 #include "control/load_estimator.h"
-#include "core/mobility_engine.h"
-#include "sim/runtime_env.h"
+#include "sim/host_core.h"
 
 namespace tmps::control {
 
@@ -43,8 +42,8 @@ class Balancer {
   /// SimNetwork::broker_backlog_seconds; hosts without one leave it unset).
   using BacklogFn = std::function<double(BrokerId)>;
 
-  Balancer(ControlConfig cfg, RuntimeEnv& env, const Overlay& overlay,
-           std::map<BrokerId, MobilityEngine*> engines);
+  /// Balances the clients of every broker `host` holds.
+  Balancer(ControlConfig cfg, HostCore& host);
 
   void set_backlog_fn(BacklogFn fn) { backlog_ = std::move(fn); }
 
@@ -93,9 +92,7 @@ class Balancer {
   void export_gauges();
 
   ControlConfig cfg_;
-  RuntimeEnv* env_;
-  const Overlay* overlay_;
-  std::map<BrokerId, MobilityEngine*> engines_;
+  HostCore* host_;
   BacklogFn backlog_;
   LoadEstimator estimator_;
   BalancePolicy policy_;

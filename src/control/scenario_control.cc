@@ -12,8 +12,7 @@ std::shared_ptr<BalancerHandle> install_balancer(ScenarioConfig& cfg) {
     if (prev_engines) prev_engines(s);
     const ControlConfig& ctl = s.config().broker.control;
     if (!ctl.enabled) return;
-    handle->balancer = std::make_unique<Balancer>(
-        ctl, s.net(), s.net().overlay(), s.engines());
+    handle->balancer = std::make_unique<Balancer>(ctl, s.net());
     handle->balancer->set_backlog_fn(
         [net = &s.net()](BrokerId b) { return net->broker_backlog_seconds(b); });
     handle->balancer->start(s.config().duration);

@@ -160,7 +160,6 @@ void ClientStub::merge_notifications(const std::vector<Publication>& shipped) {
 
 void ClientStub::buffer_push(Publication pub) {
   Buffered b;
-  b.at = clock_now();
   b.bytes = limits_.max_bytes ? wire_size(pub) : 0;
   b.pub = std::move(pub);
   buffered_bytes_ += b.bytes;
@@ -178,17 +177,6 @@ void ClientStub::enforce_limits() {
   }
 }
 
-std::size_t ClientStub::expire_buffer() {
-  if (limits_.max_age <= 0) return 0;
-  const double cutoff = clock_now() - limits_.max_age;
-  std::size_t dropped = 0;
-  while (!buffer_.empty() && buffer_.front().at < cutoff) {
-    drop_front("expiry");
-    ++dropped;
-  }
-  return dropped;
-}
-
 void ClientStub::drop_front(const char* reason) {
   Buffered b = std::move(buffer_.front());
   buffer_.pop_front();
@@ -203,7 +191,6 @@ std::vector<Publication> ClientStub::take_commands() {
 }
 
 void ClientStub::deliver(const Publication& pub) {
-  delivered_.push_back(pub);
   if (deliver_) deliver_(pub);
 }
 

@@ -50,7 +50,6 @@ class IllegalTransition : public std::logic_error {
 struct BufferLimits {
   std::size_t max_count = 0;
   std::size_t max_bytes = 0;
-  double max_age = 0;  ///< seconds a notification may sit buffered
 };
 
 class ClientStub {
@@ -58,10 +57,9 @@ class ClientStub {
   /// Application-level delivery callback.
   using DeliveryFn = std::function<void(const Publication&)>;
   /// Invoked for every buffered notification discarded to honour the caps;
-  /// `reason` is "overflow" (count/byte cap) or "expiry" (age cap). Each
-  /// dropped publication is reported exactly once.
+  /// `reason` is "overflow" (count/byte cap). Each dropped publication is
+  /// reported exactly once.
   using DropFn = std::function<void(const Publication&, const char* reason)>;
-  using ClockFn = std::function<double()>;
 
   explicit ClientStub(ClientId id);
 
@@ -71,16 +69,10 @@ class ClientStub {
   void set_delivery_fn(DeliveryFn fn) { deliver_ = std::move(fn); }
 
   /// Bounds the notification buffer; entries beyond the caps are dropped
-  /// oldest-first and reported through the drop callback. The clock stamps
-  /// buffered entries for the age cap (defaults to 0 when unset).
+  /// oldest-first and reported through the drop callback.
   void set_buffer_limits(BufferLimits limits) { limits_ = limits; }
-  void set_buffer_clock(ClockFn clock) { clock_ = std::move(clock); }
   void set_drop_fn(DropFn fn) { drop_ = std::move(fn); }
   const BufferLimits& buffer_limits() const { return limits_; }
-
-  /// Drops buffered notifications older than the age cap. Called
-  /// periodically by the session layer; returns how many were dropped.
-  std::size_t expire_buffer();
 
   // --- profile -------------------------------------------------------------
 
@@ -133,7 +125,6 @@ class ClientStub {
   void queue_command(Publication pub) { pending_pubs_.push_back(std::move(pub)); }
   std::vector<Publication> take_commands();
 
-  const std::vector<Publication>& delivered_log() const { return delivered_; }
   std::size_t buffered_count() const { return buffer_.size(); }
   std::size_t buffered_bytes() const { return buffered_bytes_; }
   std::size_t queued_commands() const { return pending_pubs_.size(); }
@@ -141,7 +132,6 @@ class ClientStub {
  private:
   struct Buffered {
     Publication pub;
-    double at = 0;          ///< buffering time (clock), for the age cap
     std::size_t bytes = 0;  ///< encoded wire size (0 unless byte-capped)
   };
 
@@ -150,7 +140,6 @@ class ClientStub {
   void buffer_push(Publication pub);
   void enforce_limits();
   void drop_front(const char* reason);
-  double clock_now() const { return clock_ ? clock_() : 0.0; }
 
   ClientId id_;
   ClientState state_ = ClientState::Init;
@@ -159,12 +148,10 @@ class ClientStub {
   std::vector<Advertisement> advs_;
   DeliveryFn deliver_;
   DropFn drop_;
-  ClockFn clock_;
   BufferLimits limits_;
   std::deque<Buffered> buffer_;
   std::size_t buffered_bytes_ = 0;
   std::unordered_set<PublicationId> seen_;
-  std::vector<Publication> delivered_;
   std::deque<Publication> pending_pubs_;
 };
 

@@ -1,81 +1,31 @@
 // A convenience handle over a mobile pub/sub client: tracks the client as it
-// moves between brokers and forwards API calls to whichever mobility engine
-// currently hosts it. This is the public-facing "client library" view; the
-// lower-level MobilityEngine API remains available for host integrations.
+// moves between brokers and forwards API calls to whichever broker of the
+// host currently holds it, through HostCore::run_on (so on a threaded host
+// every call is ordered with the broker's message handling). This is the
+// public-facing "client library" view; the lower-level MobilityEngine API
+// remains available for host integrations.
 #pragma once
 
-#include <functional>
-#include <unordered_map>
-#include <vector>
-
 #include "core/mobility_engine.h"
+#include "sim/host_core.h"
 
 namespace tmps {
 
-/// Directory of the mobility engines in one deployment; resolves which one
-/// currently hosts a client.
-///
-/// find_host memoizes ClientId -> engine: the full engines x clients scan
-/// only runs on a cache miss (first sight of a client, or its cached host no
-/// longer holding it after a movement/expiry). Callers that observe
-/// movements (Scenario's movement_observer, session adoption) can keep the
-/// cache warm with note_moved, but correctness never depends on it — a stale
-/// entry is re-validated against the engine before being trusted.
-class EngineDirectory {
- public:
-  void add(MobilityEngine& engine) { engines_.push_back(&engine); }
-
-  MobilityEngine* find_host(ClientId id) const {
-    if (auto it = host_cache_.find(id); it != host_cache_.end()) {
-      if (it->second->find_client(id)) return it->second;
-      host_cache_.erase(it);
-    }
-    for (auto* e : engines_) {
-      if (e->find_client(id)) {
-        host_cache_.emplace(id, e);
-        return e;
-      }
-    }
-    return nullptr;
-  }
-
-  MobilityEngine* at_broker(BrokerId b) const {
-    for (auto* e : engines_) {
-      if (e->broker_id() == b) return e;
-    }
-    return nullptr;
-  }
-
-  /// Points the cache at the client's new host (no-op for unknown brokers).
-  void note_moved(ClientId id, BrokerId now_at) {
-    if (MobilityEngine* e = at_broker(now_at)) {
-      host_cache_[id] = e;
-    } else {
-      host_cache_.erase(id);
-    }
-  }
-
- private:
-  std::vector<MobilityEngine*> engines_;
-  mutable std::unordered_map<ClientId, MobilityEngine*> host_cache_;
-};
-
 class MobileClient {
  public:
-  MobileClient(ClientId id, const EngineDirectory& directory)
-      : id_(id), directory_(&directory) {}
+  MobileClient(ClientId id, HostCore& host) : id_(id), host_(&host) {}
 
   /// Creates and starts the client at `home`.
-  static MobileClient connect(ClientId id, BrokerId home,
-                              const EngineDirectory& directory);
+  static MobileClient connect(ClientId id, BrokerId home, HostCore& host);
 
   ClientId id() const { return id_; }
 
   /// Broker currently hosting the client, or kNoBroker if it is unknown
-  /// (e.g. mid-hand-off from an external perspective).
+  /// (e.g. mid-hand-off from an external perspective). Tries the broker
+  /// last seen first, then every broker in id order.
   BrokerId location() const;
   ClientState state() const;
-  bool connected() const { return directory_->find_host(id_) != nullptr; }
+  bool connected() const { return location() != kNoBroker; }
 
   /// Pub/sub operations, executed at the current host.
   SubscriptionId subscribe(const Filter& f);
@@ -93,10 +43,13 @@ class MobileClient {
   void resume();
 
  private:
-  MobilityEngine* host() const { return directory_->find_host(id_); }
+  bool hosted_at(BrokerId b) const;
+  /// Runs `op` at the client's current broker; a no-op when it has none.
+  void at_host(const HostCore::Op& op) const;
 
   ClientId id_;
-  const EngineDirectory* directory_;
+  HostCore* host_;
+  mutable BrokerId last_seen_ = kNoBroker;
 };
 
 }  // namespace tmps

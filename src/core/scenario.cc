@@ -63,7 +63,8 @@ void Scenario::build() {
       cfg_.profile_path = obs.trace_dir + "/profile.ndjson";
     }
   }
-  net_ = std::make_unique<SimNetwork>(overlay_, cfg_.broker, cfg_.net);
+  net_ = std::make_unique<SimNetwork>(overlay_, cfg_.broker, cfg_.net,
+                                      cfg_.mobility);
   // The auditor reconstructs movement windows from spans, so auditing
   // implies tracing even when no trace file is requested.
   if (!cfg_.trace_path.empty() || cfg_.audit || obs.tracing) {
@@ -71,24 +72,19 @@ void Scenario::build() {
   }
 
   for (BrokerId b = 1; b <= overlay_.broker_count(); ++b) {
-    auto engine =
-        std::make_unique<MobilityEngine>(net_->broker(b), *net_, cfg_.mobility);
-    engine->set_transmit(
-        [this, b](Broker::Outputs out) { net_->transmit(b, std::move(out)); });
-    engine->set_delivery_sink(
+    MobilityEngine& engine = net_->engine(b);
+    engine.set_delivery_sink(
         [this, b](ClientId c, const Publication& pub, SimTime t) {
           ++audit_.delivered;
           if (!seen_[c].insert(pub.id()).second) ++audit_.duplicates;
           if (cfg_.audit) auditor_.on_delivery(c, to_string(pub.id()), t);
           stats().count_delivery(b, c);
         });
-    engine->set_move_callback([this](const MovementRecord& rec) {
+    engine.set_move_callback([this](const MovementRecord& rec) {
       on_movement(rec);
       if (rec.committed) moved_clients_.insert(rec.client);
       if (cfg_.movement_observer) cfg_.movement_observer(rec);
     });
-    engines_[b] = engine.get();
-    engines_by_index_.push_back(std::move(engine));
   }
   if (cfg_.post_engines) cfg_.post_engines(*this);
 }
@@ -97,16 +93,15 @@ void Scenario::publish_tick(BrokerId b, ClientId id) {
   // The balancer may migrate publishers (advertisement reconfiguration);
   // follow the client so it keeps publishing from its current broker. Issuing
   // the publish at the stale home would silently no-op.
-  if (!engines_[b]->find_client(id)) {
-    for (const auto& [nb, eng] : engines_) {
-      if (eng->find_client(id)) {
+  if (!net_->engine(b).find_client(id)) {
+    for (BrokerId nb = 1; nb <= overlay_.broker_count(); ++nb) {
+      if (net_->engine(nb).find_client(id)) {
         b = nb;
         break;
       }
     }
   }
-  MobilityEngine& eng = *engines_[b];
-  if (eng.find_client(id)) {
+  if (net_->engine(b).find_client(id)) {
     std::uniform_int_distribution<std::int64_t> x(kSpaceLo, kSpaceHi);
     const auto groups =
         static_cast<std::int64_t>((cfg_.total_clients + 9) / 10);
@@ -114,9 +109,9 @@ void Scenario::publish_tick(BrokerId b, ClientId id) {
         0, groups > 0 ? groups - 1 : 0);
     Publication pub = make_publication({id, ++pub_seq_}, x(rng_), g(rng_));
     published_.emplace_back(pub, net_->now());
-    Broker::Outputs out;
-    eng.publish(id, std::move(pub), out);
-    net_->transmit(b, std::move(out));
+    net_->run_on(b, [&](MobilityEngine& eng, Broker::Outputs& out) {
+      eng.publish(id, std::move(pub), out);
+    });
   }
   if (net_->now() + cfg_.publish_interval < cfg_.duration) {
     net_->events().schedule_in(cfg_.publish_interval,
@@ -158,11 +153,10 @@ void Scenario::schedule_publishers() {
     // Advertisements go out first so joining subscriptions have somewhere to
     // route towards.
     net_->events().schedule_at(0.001 + 0.001 * p, [this, b, id] {
-      MobilityEngine& eng = *engines_[b];
-      eng.connect_client(id);
-      Broker::Outputs out;
-      eng.advertise(id, full_space_advertisement(), out);
-      net_->transmit(b, std::move(out));
+      net_->run_on(b, [id](MobilityEngine& eng, Broker::Outputs& out) {
+        eng.connect_client(id);
+        eng.advertise(id, full_space_advertisement(), out);
+      });
     });
     if (cfg_.publish_interval > 0) {
       const double first =
@@ -174,25 +168,25 @@ void Scenario::schedule_publishers() {
 }
 
 void Scenario::churn_tick(BrokerId b, ClientId id, Filter f) {
-  MobilityEngine& eng = *engines_[b];
-  ClientStub* stub = eng.find_client(id);
-  // Skip (don't abandon) the churn while the client is paused or mid-move —
-  // the balancer may migrate "stationary" clients, and profile churn during
-  // a movement transaction would race the state hand-off. A client that has
-  // completed a movement stops churning for good (even if a later movement
-  // returns it home): re-issuing the profile would retract the moved
-  // entries along the movement path and fail the orphan-state audit.
-  if (stub && stub->state() == ClientState::Started &&
-      !moved_clients_.contains(id)) {
-    Broker::Outputs out;
+  net_->run_on(b, [&](MobilityEngine& eng, Broker::Outputs& out) {
+    ClientStub* stub = eng.find_client(id);
+    // Skip (don't abandon) the churn while the client is paused or mid-move
+    // — the balancer may migrate "stationary" clients, and profile churn
+    // during a movement transaction would race the state hand-off. A client
+    // that has completed a movement stops churning for good (even if a later
+    // movement returns it home): re-issuing the profile would retract the
+    // moved entries along the movement path and fail the orphan-state audit.
+    if (!stub || stub->state() != ClientState::Started ||
+        moved_clients_.contains(id)) {
+      return;
+    }
     // Retract the current incarnation, re-subscribe a fresh one: the
     // "background pub/sub activity" of the paper's conclusions.
     for (const auto& s : std::vector<Subscription>(stub->subscriptions())) {
       eng.unsubscribe(id, s.id, out);
     }
     eng.subscribe(id, f, out);
-    net_->transmit(b, std::move(out));
-  }
+  });
   if (net_->now() + cfg_.background_churn_interval < cfg_.duration) {
     net_->events().schedule_in(
         cfg_.background_churn_interval,
@@ -216,15 +210,14 @@ void Scenario::schedule_joins() {
             ? cfg_.join_window + churn_stagger(rng_)
             : -1.0;
     net_->events().schedule_at(at, [this, home, id, f, k, mover, churn_at] {
-      MobilityEngine& eng = *engines_[home];
-      eng.connect_client(id);
-      Broker::Outputs out;
-      if (mover && cfg_.movers_are_publishers) {
-        eng.advertise(id, f, out);
-      } else {
-        eng.subscribe(id, f, out);
-      }
-      net_->transmit(home, std::move(out));
+      net_->run_on(home, [&](MobilityEngine& eng, Broker::Outputs& out) {
+        eng.connect_client(id);
+        if (mover && cfg_.movers_are_publishers) {
+          eng.advertise(id, f, out);
+        } else {
+          eng.subscribe(id, f, out);
+        }
+      });
       if (mover) {
         mover_index_[id] = k;
         schedule_move(k, home, other_end(k, home),
@@ -242,11 +235,9 @@ void Scenario::schedule_move(std::uint32_t k, BrokerId from, BrokerId to,
   if (when >= cfg_.duration) return;
   const ClientId id = subscriber_id(k);
   net_->events().schedule_at(when, [this, id, from, to] {
-    MobilityEngine& eng = *engines_[from];
-    if (!eng.find_client(id)) return;
-    Broker::Outputs out;
-    eng.initiate_move(id, to, out);
-    net_->transmit(from, std::move(out));
+    net_->run_on(from, [&](MobilityEngine& eng, Broker::Outputs& out) {
+      eng.initiate_move(id, to, out);
+    });
   });
 }
 
@@ -259,23 +250,6 @@ void Scenario::on_movement(const MovementRecord& rec) {
                 net_->now() + cfg_.pause_between_moves);
 }
 
-void Scenario::flush_profilers() {
-  for (BrokerId b = 1; b <= overlay_.broker_count(); ++b) {
-    if (obs::StageProfiler* prof = net_->broker(b).profiler()) {
-      prof->flush(net_->metrics());
-    }
-  }
-}
-
-void Scenario::timeseries_tick() {
-  flush_profilers();  // stage histograms land in the same windows
-  net_->timeseries().tick(net_->now());
-  if (net_->now() + cfg_.broker.obs.timeseries_interval < cfg_.duration) {
-    net_->events().schedule_in(cfg_.broker.obs.timeseries_interval,
-                               [this] { timeseries_tick(); });
-  }
-}
-
 void Scenario::run() {
   build();
   if (cfg_.post_build) cfg_.post_build(*net_);
@@ -283,7 +257,10 @@ void Scenario::run() {
   schedule_joins();
   if (cfg_.broker.obs.timeseries_interval > 0) {
     // First tick establishes the baseline window at t=0.
-    net_->events().schedule_at(0.0, [this] { timeseries_tick(); });
+    net_->events().schedule_at(0.0, [this] {
+      net_->tick_timeseries(cfg_.broker.obs.timeseries_interval,
+                            cfg_.duration);
+    });
   }
   // Publications before this point may legitimately race join propagation;
   // everything later is audited for stationary loss.
@@ -334,7 +311,7 @@ void Scenario::dump_observability() {
       cfg_.timeseries_path.empty() && cfg_.profile_path.empty()) {
     return;
   }
-  flush_profilers();
+  net_->flush_profilers();
   const auto mode = cfg_.trace_append ? std::ios::app : std::ios::trunc;
 
   if (!cfg_.profile_path.empty()) {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -143,10 +142,6 @@ class Scenario {
 
   SimNetwork& net() { return *net_; }
   Stats& stats() { return net_->stats(); }
-  MobilityEngine& engine(BrokerId b) { return *engines_[b]; }
-  const std::map<BrokerId, MobilityEngine*>& engines() const {
-    return engines_;
-  }
   const ScenarioConfig& config() const { return cfg_; }
 
   /// Client ids are 1000 + k for subscriber k, 1 + p for publisher p.
@@ -194,8 +189,6 @@ class Scenario {
 
  private:
   void build();
-  void timeseries_tick();
-  void flush_profilers();
   void dump_observability();
   void schedule_joins();
   void schedule_publishers();
@@ -215,8 +208,6 @@ class Scenario {
   std::unique_ptr<SimNetwork> net_;
   obs::Auditor auditor_;
   obs::AuditReport audit_report_;
-  std::vector<std::unique_ptr<MobilityEngine>> engines_by_index_;
-  std::map<BrokerId, MobilityEngine*> engines_;
   std::unordered_map<ClientId, std::uint32_t> mover_index_;
   Audit audit_;
   std::unordered_map<ClientId, std::unordered_set<PublicationId>> seen_;

@@ -9,19 +9,18 @@ std::shared_ptr<RepairHandle> install_repair(ScenarioConfig& cfg) {
     if (prev_engines) prev_engines(s);
     const RepairConfig& rc = s.config().broker.repair;
     if (!rc.enabled) return;
-    std::size_t idx = 0;
-    for (const auto& [b, engine] : s.engines()) {
+    SimNetwork& net = s.net();
+    for (BrokerId b = 1; b <= net.overlay().broker_count(); ++b) {
       RepairConfig per = rc;
       // Stagger the first sweep per broker so the fleet does not sweep (and
       // digest) in lockstep.
       per.start_delay = (rc.start_delay > 0 ? rc.start_delay
                                             : rc.sweep_interval) +
-                        0.05 * static_cast<double>(idx);
-      auto re = std::make_unique<RepairEngine>(*engine, s.net(), per);
-      engine->set_repair_handler(re.get());
+                        0.05 * static_cast<double>(b - 1);
+      auto re = std::make_unique<RepairEngine>(net.engine(b), net, per);
+      net.engine(b).set_repair_handler(re.get());
       re->start(s.config().duration);
       handle->engines.push_back(std::move(re));
-      ++idx;
     }
   };
   return handle;

@@ -19,11 +19,9 @@ namespace tmps::repair {
 struct RepairHandle {
   std::vector<std::unique_ptr<RepairEngine>> engines;
 
+  /// One engine per broker, in broker order (none when repair is off).
   RepairEngine* engine_of(BrokerId b) const {
-    for (const auto& e : engines) {
-      if (e->broker_id() == b) return e.get();
-    }
-    return nullptr;
+    return b >= 1 && b <= engines.size() ? engines[b - 1].get() : nullptr;
   }
 };
 

@@ -45,9 +45,6 @@ struct RoutingDelta {
   /// entry) — possible under covering churn; nothing must be sent.
   bool applied = true;
   std::vector<RoutingOp> ops;
-  /// Links where the subject was quenched (covered by an already-forwarded
-  /// entry); informational, nothing is transmitted for them.
-  std::vector<Hop> quenched;
 
   bool empty() const { return ops.empty(); }
 };

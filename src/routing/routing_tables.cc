@@ -9,18 +9,13 @@ namespace tmps {
 namespace {
 
 /// The shared step of both add paths: forwards `entry` over `link` unless it
-/// is already forwarded there, or covered there (then `link` is noted as
-/// quenched).
+/// is already forwarded there, or covered (quenched) there.
 template <class Item>
 void offer(RouteTable<Item>& table, RouteEntry<Item>& entry, Hop link,
            bool covering, RoutingDelta& d) {
   if (entry.forwarded_to.contains(link)) return;
   if (covering &&
       table.covered_on_link(entry.item.id, entry.item.filter, link)) {
-    if (std::find(d.quenched.begin(), d.quenched.end(), link) ==
-        d.quenched.end()) {
-      d.quenched.push_back(link);
-    }
     return;
   }
   table.forward(entry, link, covering, /*induced=*/false, d);
@@ -263,22 +258,6 @@ std::vector<std::string> RoutingTables::check_forward_index() const {
     }
   }
   return out;
-}
-
-std::string RoutingTables::debug_string() const {
-  std::string s;
-  const auto rows = [&s](const auto& table) {
-    for (const auto& [id, e] : table) {
-      s += "  " + e.item.to_string() + " last=" + e.lasthop.to_string();
-      if (e.shadow_lasthop) s += " shadow=" + e.shadow_lasthop->to_string();
-      s += "\n";
-    }
-  };
-  s += "PRT{\n";
-  rows(prt_);
-  s += "} SRT{\n";
-  rows(srt_);
-  return s + "}";
 }
 
 }  // namespace tmps

@@ -125,6 +125,12 @@ class RoutingTables {
   /// Stage::kCoverProbe. Null = no probes.
   void set_profiler(obs::StageProfiler* prof);
 
+  // --- structural self-checks of the indexes ---------------------------------
+  // They read index internals, so they live here rather than in the tests'
+  // row-only reference library; the unit, property and soak tests and the
+  // micro_covering/micro_forwarding gates call them. Nothing on the
+  // message path does.
+
   /// Cross-checks the covering indexes against the tables: sizes agree, no
   /// dangling or duplicate filings, and every entry is a candidate of its
   /// own filter's probes. Returns violation descriptions; empty = consistent.
@@ -147,8 +153,6 @@ class RoutingTables {
   /// provenance records this, so a latency spike can be correlated with the
   /// reconfiguration activity around it.
   std::uint64_t version() const { return prt_.version() + srt_.version(); }
-
-  std::string debug_string() const;
 
  private:
   /// Dispatches a reified mutation to the matching entry point.

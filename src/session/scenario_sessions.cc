@@ -10,16 +10,16 @@ std::shared_ptr<SessionHandle> install_sessions(
     if (prev_engines) prev_engines(s);
     const SessionConfig& sc = s.config().broker.session;
     if (!sc.enabled) return;
-    std::size_t idx = 0;
-    for (const auto& [b, engine] : s.engines()) {
+    SimNetwork& net = s.net();
+    for (BrokerId b = 1; b <= net.overlay().broker_count(); ++b) {
       SessionConfig per = sc;
       // Stagger the first tick per broker so the fleet does not sweep in
       // lockstep.
       per.start_delay =
           (sc.start_delay > 0 ? sc.start_delay : sc.tick_interval) +
-          0.03 * static_cast<double>(idx);
-      auto mgr = std::make_unique<SessionManager>(*engine, s.net(), per);
-      engine->set_session_handler(mgr.get());
+          0.03 * static_cast<double>(b - 1);
+      auto mgr = std::make_unique<SessionManager>(net.engine(b), net, per);
+      net.engine(b).set_session_handler(mgr.get());
       mgr->start(s.config().duration);
       if (repair) {
         if (repair::RepairEngine* re = repair->engine_of(b)) {
@@ -29,7 +29,6 @@ std::shared_ptr<SessionHandle> install_sessions(
         }
       }
       handle->managers.push_back(std::move(mgr));
-      ++idx;
     }
   };
   return handle;

@@ -20,11 +20,9 @@ namespace tmps::session {
 struct SessionHandle {
   std::vector<std::unique_ptr<SessionManager>> managers;
 
+  /// One manager per broker, in broker order (none when sessions are off).
   SessionManager* manager_of(BrokerId b) const {
-    for (const auto& m : managers) {
-      if (m->broker_id() == b) return m.get();
-    }
-    return nullptr;
+    return b >= 1 && b <= managers.size() ? managers[b - 1].get() : nullptr;
   }
 };
 

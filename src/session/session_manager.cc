@@ -558,8 +558,7 @@ void SessionManager::deliver_locally(ClientStub& stub) {
 // --- plumbing ----------------------------------------------------------------
 
 void SessionManager::configure_stub(ClientStub& stub) {
-  stub.set_buffer_limits({cfg_.buffer_max_count, kBufferMaxBytes, 0.0});
-  stub.set_buffer_clock([this] { return now(); });
+  stub.set_buffer_limits({cfg_.buffer_max_count, kBufferMaxBytes});
   const ClientId client = stub.id();
   stub.set_drop_fn([this, client](const Publication& pub, const char* reason) {
     note_drop(client, pub, reason);

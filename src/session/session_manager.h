@@ -5,7 +5,7 @@
 // resumption token that encodes the home broker (like TxnId encodes its
 // coordinator), so any broker a client reappears at can route the resume.
 // While the client is away the home broker keeps its stub paused: matched
-// notifications buffer under byte/count/age caps (drops are accounted in
+// notifications buffer under byte/count caps (drops are accounted in
 // tmps_session_dropped_total, never silent), and the exactly-once guard in
 // ClientStub dedups the replay on resume.
 //
@@ -61,7 +61,7 @@ struct SessionStats {
   std::uint64_t closed = 0;
   std::uint64_t wills_fired = 0;
   std::uint64_t dropped_overflow = 0;  ///< buffer count/byte cap drops
-  std::uint64_t dropped_expiry = 0;    ///< buffer age-cap + expiry drops
+  std::uint64_t dropped_expiry = 0;    ///< lost with an expired session
   std::uint64_t forwarded_pubs = 0;    ///< deliveries sent via forwarding
 };
 
@@ -104,7 +104,7 @@ class SessionManager final : public SessionHandler {
   /// Schedules recurring timer sweeps until simulated time `until`.
   void start(double until);
 
-  /// One timer sweep: heartbeat liveness, grace expiry, buffer-age caps,
+  /// One timer sweep: heartbeat liveness, grace expiry,
   /// movement-adoption progress, gauge refresh. Public so tests can drive
   /// rounds manually. Emits via the engine's transmit hook.
   void tick();
@@ -190,8 +190,7 @@ class SessionManager final : public SessionHandler {
   void on_forward(const SessionForwardMsg& m);
   void on_open_frame(const SessionOpenMsg& m, Outputs& out);
 
-  /// Wires the stub's buffer caps, clock and drop accounting to this
-  /// session.
+  /// Wires the stub's buffer caps and drop accounting to this session.
   void configure_stub(ClientStub& stub);
   /// Restores the stub's plain local delivery (undoes forwarding).
   void deliver_locally(ClientStub& stub);

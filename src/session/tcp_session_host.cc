@@ -44,10 +44,7 @@ TcpSessionHost::TcpSessionHost(TcpTransport& transport, SessionConfig cfg)
 TcpSessionHost::~TcpSessionHost() { stop(); }
 
 SessionManager* TcpSessionHost::manager_of(BrokerId b) const {
-  for (const auto& m : managers_) {
-    if (m->broker_id() == b) return m.get();
-  }
-  return nullptr;
+  return b >= 1 && b <= managers_.size() ? managers_[b - 1].get() : nullptr;
 }
 
 void TcpSessionHost::start() {

@@ -2,17 +2,68 @@
 
 #include <cassert>
 
-#include "broker/broker.h"
-
 namespace tmps {
 
-HostCore::HostCore() {
+HostCore::HostCore(const Overlay& overlay, const BrokerConfig& broker_cfg,
+                   const MobilityConfig& mobility_cfg)
+    : overlay_(&overlay) {
   tracer_.set_clock([this] { return now(); });
+  const BrokerId n = overlay.broker_count();
+  brokers_.resize(n + 1);
+  engines_.resize(n + 1);
+  for (BrokerId b = 1; b <= n; ++b) {
+    brokers_[b] = std::make_unique<Broker>(b, overlay_, broker_cfg);
+    brokers_[b]->set_observability(&tracer_, &metrics_);
+    brokers_[b]->set_clock([this] { return now(); });
+    engines_[b] =
+        std::make_unique<MobilityEngine>(*brokers_[b], *this, mobility_cfg);
+    engines_[b]->set_transmit(
+        [this, b](Broker::Outputs out) { transmit(b, std::move(out)); });
+  }
 }
 
-void HostCore::attach(Broker& broker) {
-  broker.set_observability(&tracer_, &metrics_);
-  broker.set_clock([this] { return now(); });
+Broker& HostCore::broker(BrokerId b) {
+  assert(b >= 1 && b < brokers_.size());
+  return *brokers_[b];
+}
+
+MobilityEngine& HostCore::engine(BrokerId b) {
+  assert(b >= 1 && b < engines_.size());
+  return *engines_[b];
+}
+
+obs::BrokerSnapshot HostCore::snapshot(BrokerId b) {
+  obs::BrokerSnapshot snap;
+  run_on(b, [&](MobilityEngine& e, Broker::Outputs&) {
+    snap.time = now();
+    e.broker().snapshot(snap);
+  });
+  return snap;
+}
+
+void HostCore::snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
+                                bool final_snapshot) {
+  for (BrokerId b = 1; b < brokers_.size(); ++b) {
+    out.push_back(snapshot(b));
+    out.back().final_snapshot = final_snapshot;
+  }
+}
+
+void HostCore::flush_profilers() {
+  for (BrokerId b = 1; b < brokers_.size(); ++b) {
+    if (obs::StageProfiler* prof = brokers_[b]->profiler()) {
+      prof->flush(&metrics_);
+    }
+  }
+}
+
+void HostCore::tick_timeseries(double interval, double until) {
+  flush_profilers();
+  timeseries_.tick(now());
+  if (now() + interval < until) {
+    schedule(interval,
+             [this, interval, until] { tick_timeseries(interval, until); });
+  }
 }
 
 std::uint64_t HostCore::outstanding(TxnId cause) const {

@@ -1,14 +1,19 @@
-// The bookkeeping every broker host shares. A host (the discrete-event
-// SimNetwork, the socket-based TcpTransport) moves messages between brokers
-// and keeps time; everything it must *account* for lives here, once:
+// What every broker host shares. A host (the discrete-event SimNetwork, the
+// socket-based TcpTransport) moves messages between brokers and keeps time;
+// everything else lives here, once:
 //
+//   * the hosted brokers 1..N of the overlay and, on each, its mobile
+//     container (MobilityEngine, Sec. 4.1), wired to this host's tracer,
+//     metrics, clock and send path;
+//   * run_on(), the one way to act at a broker from outside a message
+//     handler: client operations, snapshots, session ticks;
 //   * the cause ledger — messages in flight per movement cause tag, and the
 //     watchers behind RuntimeEnv::on_cause_drained. The traditional
 //     protocol's commit and the auditor's quiescence check both rest on it;
 //   * Stats — traffic per link/type/cause and the movement records behind
 //     RuntimeEnv::movement_finished;
-//   * the tracer, metrics registry and time-series ring the hosted brokers
-//     are wired to (attach()).
+//   * the tracer, metrics registry and time-series ring, with the tick loop
+//     that drains the stage profilers into each window.
 //
 // Ledger contract: the host calls count_send() when a message enters a link
 // and retire() when it leaves the network — processed at its destination
@@ -20,10 +25,11 @@
 // Locking: one mutex guards the ledger and Stats' traffic and movement
 // accounting (in_flight() is an atomic, so messages without a cause retire
 // without it). Drain watchers and on_cause_drained's immediate call run
-// after it is released, so they may send. What else a callback holds
-// depends on the host:
+// after it is released, so they may send. What run_on and the other
+// callbacks hold depends on the host:
 //
-//   * SimNetwork is single-threaded: timers, drain watchers and broker
+//   * SimNetwork is single-threaded: run_on runs its op at once and hands
+//     the outputs to the network; timers, drain watchers and broker
 //     handlers all run on the event loop.
 //   * TcpTransport runs Broker::on_message and run_on ops under the
 //     broker's state lock, and queues their outputs on the broker's links
@@ -41,9 +47,12 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "broker/broker.h"
+#include "core/mobility_engine.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -53,17 +62,37 @@
 
 namespace tmps {
 
-class Broker;
-
 class HostCore : public RuntimeEnv {
  public:
+  /// A client operation at one broker: it acts on the broker's engine and
+  /// appends the messages to send to the outputs.
+  using Op = std::function<void(MobilityEngine&, Broker::Outputs&)>;
+
   HostCore(const HostCore&) = delete;
   HostCore& operator=(const HostCore&) = delete;
+
+  const Overlay& overlay() const { return *overlay_; }
+  Broker& broker(BrokerId b);
+  MobilityEngine& engine(BrokerId b);
+
+  /// Runs `op` at broker `b` and sends its outputs, ordered with the
+  /// broker's message handling (see Locking above).
+  virtual void run_on(BrokerId b, const Op& op) = 0;
 
   Stats& stats() { return stats_; }
 
   /// Windowed time-series over this host's metrics registry.
   obs::TimeSeriesRing& timeseries() { return timeseries_; }
+
+  /// Ticks timeseries() now (the first call's tick is the baseline window)
+  /// and again every `interval` seconds while the next tick falls before
+  /// `until`. Each tick drains the stage profilers first, so their
+  /// histograms land in the same windows.
+  void tick_timeseries(double interval, double until);
+
+  /// Drains every broker's stage-profiler slabs into the metrics registry
+  /// (no-op when profiling is off). Called before any metrics export.
+  void flush_profilers();
 
   /// Messages still in flight for a cause tag.
   std::uint64_t outstanding(TxnId cause) const;
@@ -81,12 +110,21 @@ class HostCore : public RuntimeEnv {
   void on_cause_drained(TxnId cause, std::function<void()> fn) override;
   obs::Tracer* tracer() override { return &tracer_; }
   obs::MetricsRegistry* metrics() override { return &metrics_; }
+  /// One snapshot per broker, each taken through run_on.
+  void snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
+                        bool final_snapshot = false) override;
 
  protected:
-  HostCore();
+  /// Builds broker b and its engine for b = 1..N of `overlay`.
+  HostCore(const Overlay& overlay, const BrokerConfig& broker_cfg,
+           const MobilityConfig& mobility_cfg);
 
-  /// Wires a hosted broker to this host's tracer, metrics and clock.
-  void attach(Broker& broker);
+  /// The host's send path: hands `outputs`, produced at broker `from`, to
+  /// the network. Every engine's transmit hook (timer callbacks) ends here.
+  virtual void transmit(BrokerId from, Broker::Outputs outputs) = 0;
+
+  /// Broker `b`'s routing state at now().
+  obs::BrokerSnapshot snapshot(BrokerId b);
 
   /// `msg` entered the link from -> to.
   void count_send(BrokerId from, BrokerId to, const Message& msg);
@@ -101,11 +139,15 @@ class HostCore : public RuntimeEnv {
   std::atomic<std::uint64_t> in_flight_{0};
   std::map<TxnId, std::uint64_t> outstanding_;
   std::map<TxnId, std::vector<std::function<void()>>> drain_watchers_;
-  // Hosted brokers cache handles into these; a host's brokers are members
-  // of the derived class, so they are destroyed first.
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;
   obs::TimeSeriesRing timeseries_{&metrics_};
+  // The hosted objects cache handles into the tracer and metrics above, so
+  // they are declared after them and destroyed first (engines before their
+  // brokers). Indexed by BrokerId; slot 0 is empty.
+  const Overlay* overlay_;
+  std::vector<std::unique_ptr<Broker>> brokers_;
+  std::vector<std::unique_ptr<MobilityEngine>> engines_;
 };
 
 }  // namespace tmps

@@ -21,17 +21,15 @@ NetworkProfile NetworkProfile::planetlab() {
 }
 
 SimNetwork::SimNetwork(const Overlay& overlay, BrokerConfig broker_cfg,
-                       NetworkProfile profile)
-    : overlay_(&overlay), profile_(profile), rng_(profile.seed) {
+                       NetworkProfile profile, MobilityConfig mobility_cfg)
+    : HostCore(overlay, broker_cfg, mobility_cfg),
+      profile_(profile),
+      rng_(profile.seed) {
   msgs_sent_ = &metrics()->counter("sim_messages_total");
   msgs_dropped_ = &metrics()->counter("sim_messages_dropped_total");
   link_wait_ = &metrics()->histogram("sim_link_wait_seconds");
   broker_wait_ = &metrics()->histogram("sim_broker_wait_seconds");
   brokers_.resize(overlay.broker_count() + 1);
-  for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    brokers_[b].broker = std::make_unique<Broker>(b, overlay_, broker_cfg);
-    attach(*brokers_[b].broker);
-  }
   // Pre-create directed link states; heterogeneous profiles draw a per-link
   // base delay once (log-normal around the configured mean) and use it for
   // both directions.
@@ -45,11 +43,6 @@ SimNetwork::SimNetwork(const Overlay& overlay, BrokerConfig broker_cfg,
 }
 
 SimNetwork::~SimNetwork() = default;
-
-Broker& SimNetwork::broker(BrokerId id) {
-  assert(id >= 1 && id < brokers_.size());
-  return *brokers_[id].broker;
-}
 
 void SimNetwork::schedule(double delay, std::function<void()> fn) {
   events_.schedule_in(delay, std::move(fn));
@@ -71,9 +64,10 @@ void SimNetwork::transmit(BrokerId from, Broker::Outputs outputs) {
   for (auto& [to, msg] : outputs) send_one(from, to, std::move(msg));
 }
 
-void SimNetwork::run_local(BrokerId b,
-                           const std::function<Broker::Outputs(Broker&)>& op) {
-  transmit(b, op(broker(b)));
+void SimNetwork::run_on(BrokerId b, const Op& op) {
+  Broker::Outputs out;
+  op(engine(b), out);
+  transmit(b, std::move(out));
 }
 
 void SimNetwork::send_one(BrokerId from, BrokerId to, Message msg) {
@@ -152,8 +146,8 @@ void SimNetwork::arrive(BrokerId from, BrokerId to, Message msg) {
   }
   stats().count_broker_message(to, is_pub);
   if (profile_.proc_per_entry > 0 && !msg.is_control()) {
-    const auto entries = b.broker->tables().prt().size() +
-                         b.broker->tables().srt().size();
+    const auto entries = broker(to).tables().prt().size() +
+                         broker(to).tables().srt().size();
     proc += profile_.proc_per_entry * static_cast<double>(entries);
   }
   const double done = start + proc;
@@ -181,17 +175,6 @@ double SimNetwork::broker_backlog_seconds(BrokerId b) const {
   assert(b >= 1 && b < brokers_.size());
   const double backlog = brokers_[b].next_free - events_.now();
   return backlog > 0 ? backlog : 0.0;
-}
-
-void SimNetwork::snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
-                                  bool final_snapshot) {
-  for (BrokerId b = 1; b < brokers_.size(); ++b) {
-    obs::BrokerSnapshot snap;
-    snap.time = events_.now();
-    snap.final_snapshot = final_snapshot;
-    brokers_[b].broker->snapshot(snap);
-    out.push_back(std::move(snap));
-  }
 }
 
 void SimNetwork::pause_broker(BrokerId b, double duration) {

@@ -10,11 +10,9 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <random>
 #include <vector>
 
-#include "broker/broker.h"
 #include "sim/event_queue.h"
 #include "sim/host_core.h"
 
@@ -76,29 +74,25 @@ struct FaultAction {
 class SimNetwork final : public HostCore {
  public:
   SimNetwork(const Overlay& overlay, BrokerConfig broker_cfg = {},
-             NetworkProfile profile = NetworkProfile::lan());
+             NetworkProfile profile = NetworkProfile::lan(),
+             MobilityConfig mobility_cfg = {});
   ~SimNetwork() override;
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
 
-  const Overlay& overlay() const { return *overlay_; }
-  Broker& broker(BrokerId id);
   EventQueue& events() { return events_; }
-  std::mt19937_64& rng() { return rng_; }
 
   // --- RuntimeEnv (the rest is HostCore's; Scenario ticks timeseries()
   // every cfg.obs.timeseries_interval) ---
   SimTime now() const override { return events_.now(); }
   void schedule(double delay, std::function<void()> fn) override;
 
-  /// Hands a broker's outputs to the network at the current time.
-  void transmit(BrokerId from, Broker::Outputs outputs);
+  /// Runs `op` at broker `b` now and transmits its outputs.
+  void run_on(BrokerId b, const Op& op) override;
 
-  /// Runs `op` against broker `b` now and transmits its outputs. Use for
-  /// client operations driven by the scenario script.
-  void run_local(BrokerId b,
-                 const std::function<Broker::Outputs(Broker&)>& op);
+  /// Hands a broker's outputs to the network at the current time.
+  void transmit(BrokerId from, Broker::Outputs outputs) override;
 
   // --- failure injection (faults are masked per Sec. 3.5: messages are
   // delayed, never lost) ---
@@ -114,9 +108,6 @@ class SimNetwork final : public HostCore {
 
   void run() { events_.run(); }
   void run_until(SimTime t) { events_.run_until(t); }
-
-  void snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
-                        bool final_snapshot = false) override;
 
   /// Cumulative processing (busy) time of a broker — utilization evidence
   /// for the congestion analysis (busy / now = utilization).
@@ -134,7 +125,6 @@ class SimNetwork final : public HostCore {
     double paused_until = 0;
   };
   struct BrokerState {
-    std::unique_ptr<Broker> broker;
     double next_free = 0;
     double paused_until = 0;
     double busy_seconds = 0;
@@ -146,7 +136,6 @@ class SimNetwork final : public HostCore {
   void process(BrokerId from, BrokerId to, Message msg);
   double jitter();
 
-  const Overlay* overlay_;
   NetworkProfile profile_;
   EventQueue events_;
   obs::Counter* msgs_sent_ = nullptr;

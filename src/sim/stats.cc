@@ -89,10 +89,6 @@ std::map<BrokerId, std::uint64_t> Stats::broker_pub_loads() const {
   return loads;
 }
 
-LoadSkew Stats::pub_load_skew(std::uint32_t brokers) const {
-  return load_skew(broker_pub_loads(), brokers);
-}
-
 LoadSkew load_skew(const std::map<BrokerId, std::uint64_t>& loads,
                    std::uint32_t brokers) {
   LoadSkew s;

@@ -131,8 +131,6 @@ class Stats {
   const std::map<BrokerId, std::uint64_t>& broker_delivery_loads() const {
     return broker_deliveries_;
   }
-  /// load_skew over broker_pub_loads (brokers 1..`brokers`).
-  LoadSkew pub_load_skew(std::uint32_t brokers) const;
 
  private:
   std::uint64_t total_messages_ = 0;

@@ -131,7 +131,6 @@ void HttpAdminServer::serve_one(int fd) {
   if (write_full(fd, head.data(), head.size())) {
     write_full(fd, resp.body.data(), resp.body.size());
   }
-  requests_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace tmps

@@ -59,11 +59,6 @@ class HttpAdminServer {
   /// The bound port (valid after start()).
   std::uint16_t port() const { return port_; }
 
-  /// Requests served (test visibility).
-  std::uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-
  private:
   void serve_loop();
   void serve_one(int fd);
@@ -73,7 +68,6 @@ class HttpAdminServer {
   std::atomic<int> listen_fd_{-1};
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> requests_{0};
   std::thread thread_;
 };
 

@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cerrno>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -20,7 +21,7 @@ namespace tmps {
 
 TcpTransport::TcpTransport(const Overlay& overlay, std::uint16_t base_port,
                            BrokerConfig broker_cfg, MobilityConfig mobility_cfg)
-    : overlay_(&overlay),
+    : HostCore(overlay, broker_cfg, mobility_cfg),
       base_port_(base_port),
       admin_cfg_(broker_cfg.admin),
       obs_cfg_(broker_cfg.obs) {
@@ -31,27 +32,13 @@ TcpTransport::TcpTransport(const Overlay& overlay, std::uint16_t base_port,
   send_failures_ = &metrics()->counter("tcp_send_failures_total");
   nodes_.resize(overlay.broker_count() + 1);
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    auto node = std::make_unique<Node>();
-    node->broker = std::make_unique<Broker>(b, overlay_, broker_cfg);
-    attach(*node->broker);
-    node->engine =
-        std::make_unique<MobilityEngine>(*node->broker, *this, mobility_cfg);
-    for (const BrokerId peer : overlay.neighbors(b)) node->outbox[peer];
-    node->engine->set_transmit([this, b](Broker::Outputs out) {
-      enqueue(b, std::move(out));
-      flush(b);
-    });
-    nodes_[b] = std::move(node);
+    nodes_[b] = std::make_unique<Node>();
+    for (const BrokerId peer : overlay.neighbors(b)) nodes_[b]->outbox[peer];
   }
   epoch_ = std::chrono::steady_clock::now();
 }
 
 TcpTransport::~TcpTransport() { stop(); }
-
-MobilityEngine& TcpTransport::engine(BrokerId b) {
-  assert(b >= 1 && b < nodes_.size());
-  return *nodes_[b]->engine;
-}
 
 std::uint16_t TcpTransport::port_of(BrokerId b) const {
   return nodes_[b]->port;
@@ -105,7 +92,7 @@ bool TcpTransport::start() {
     bool all = true;
     for (BrokerId b = 1; b < nodes_.size(); ++b) {
       std::lock_guard lock(nodes_[b]->peers_mu);
-      if (nodes_[b]->peer_fd.size() != overlay_->neighbors(b).size()) {
+      if (nodes_[b]->peer_fd.size() != overlay().neighbors(b).size()) {
         all = false;
       }
     }
@@ -115,43 +102,11 @@ bool TcpTransport::start() {
 
   timer_thread_ = std::thread([this] { timer_loop(); });
   if (obs_cfg_.timeseries_interval > 0) {
-    timeseries().tick(now());  // baseline window
-    schedule(obs_cfg_.timeseries_interval, [this] { timeseries_tick(); });
+    // Open-ended: the loop ends with the timer thread at stop().
+    tick_timeseries(obs_cfg_.timeseries_interval,
+                    std::numeric_limits<double>::infinity());
   }
   return true;
-}
-
-void TcpTransport::flush_profilers() {
-  for (BrokerId b = 1; b < nodes_.size(); ++b) {
-    if (obs::StageProfiler* prof = nodes_[b]->broker->profiler()) {
-      prof->flush(metrics());
-    }
-  }
-}
-
-void TcpTransport::timeseries_tick() {
-  if (!running_.load()) return;
-  flush_profilers();  // stage histograms land in the same windows
-  timeseries().tick(now());
-  schedule(obs_cfg_.timeseries_interval, [this] { timeseries_tick(); });
-}
-
-obs::BrokerSnapshot TcpTransport::snapshot_one(BrokerId b) {
-  Node& node = *nodes_[b];
-  obs::BrokerSnapshot snap;
-  snap.time = now();
-  std::lock_guard lock(node.state_mu);
-  node.broker->snapshot(snap);
-  return snap;
-}
-
-void TcpTransport::snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
-                                    bool final_snapshot) {
-  for (BrokerId b = 1; b < nodes_.size(); ++b) {
-    obs::BrokerSnapshot snap = snapshot_one(b);
-    snap.final_snapshot = final_snapshot;
-    out.push_back(std::move(snap));
-  }
 }
 
 bool TcpTransport::start_admin() {
@@ -159,7 +114,7 @@ bool TcpTransport::start_admin() {
     Node& node = *nodes_[b];
     node.admin = std::make_unique<HttpAdminServer>();
     node.admin->add_route("/healthz", [this, b, &node]() -> HttpResponse {
-      const obs::BrokerSnapshot snap = snapshot_one(b);
+      const obs::BrokerSnapshot snap = snapshot(b);
       std::size_t peers = 0;
       {
         std::lock_guard lock(node.peers_mu);
@@ -178,17 +133,16 @@ bool TcpTransport::start_admin() {
       metrics()->write_prometheus(os);
       return {200, "text/plain; version=0.0.4; charset=utf-8", os.str()};
     });
-    node.admin->add_route("/profile", [this, &node]() -> HttpResponse {
-      obs::StageProfiler* prof = node.broker->profiler();
+    node.admin->add_route("/profile", [this, b]() -> HttpResponse {
+      obs::StageProfiler* prof = broker(b).profiler();
       if (!prof) return {404, "text/plain", "profiler disabled\n"};
       prof->flush(metrics());
       std::ostringstream os;
       prof->write_ndjson(os);
       return {200, "application/x-ndjson", os.str()};
     });
-    node.admin->add_route("/profile/collapsed",
-                          [this, &node]() -> HttpResponse {
-      obs::StageProfiler* prof = node.broker->profiler();
+    node.admin->add_route("/profile/collapsed", [this, b]() -> HttpResponse {
+      obs::StageProfiler* prof = broker(b).profiler();
       if (!prof) return {404, "text/plain", "profiler disabled\n"};
       prof->flush(metrics());
       std::ostringstream os;
@@ -196,10 +150,10 @@ bool TcpTransport::start_admin() {
       return {200, "text/plain", os.str()};
     });
     node.admin->add_route("/routing", [this, b]() -> HttpResponse {
-      return {200, "application/x-ndjson", snapshot_one(b).to_jsonl() + "\n"};
+      return {200, "application/x-ndjson", snapshot(b).to_jsonl() + "\n"};
     });
-    node.admin->add_route("/flight", [b, &node]() -> HttpResponse {
-      const obs::FlightRecorder* fr = node.broker->flight();
+    node.admin->add_route("/flight", [this, b]() -> HttpResponse {
+      const obs::FlightRecorder* fr = broker(b).flight();
       if (!fr) return {404, "text/plain", "flight recorder disabled\n"};
       std::ostringstream os;
       fr->write_jsonl(os, b, "http");
@@ -224,7 +178,7 @@ bool TcpTransport::start_admin() {
 
 bool TcpTransport::connect_links() {
   // The lower-numbered endpoint dials.
-  for (const auto& [a, b] : overlay_->edges()) {
+  for (const auto& [a, b] : overlay().edges()) {
     const BrokerId lo = std::min(a, b), hi = std::max(a, b);
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return false;
@@ -287,7 +241,7 @@ void TcpTransport::accept_loop(BrokerId b) {
       continue;
     }
     if (hello == 0 || hello >= nodes_.size() ||
-        !overlay_->are_neighbors(b, hello)) {
+        !overlay().are_neighbors(b, hello)) {
       ::close(fd);
       continue;
     }
@@ -312,12 +266,9 @@ void TcpTransport::client_reader_loop(BrokerId self, ClientId client, int fd) {
       session_frames_(self, client, *msg);
     } else {
       // No session layer attached: feed it to the broker like a local frame.
-      Node& node = *nodes_[self];
-      {
-        std::lock_guard lock(node.state_mu);
-        enqueue(self, node.broker->on_message(self, *msg));
-      }
-      flush(self);
+      run_on(self, [&](MobilityEngine& e, Broker::Outputs& out) {
+        out = e.broker().on_message(self, *msg);
+      });
     }
   }
   // Connection gone: deregister (unless a reconnect already replaced the fd)
@@ -355,12 +306,6 @@ bool TcpTransport::send_to_client(BrokerId b, ClientId client,
   return true;
 }
 
-std::size_t TcpTransport::client_connections(BrokerId b) {
-  Node& node = *nodes_[b];
-  std::lock_guard lock(node.clients_mu);
-  return node.client_fd.size();
-}
-
 void TcpTransport::add_admin_route(BrokerId b, std::string path,
                                    std::function<HttpResponse()> handler) {
   extra_admin_routes_.emplace_back(b, std::move(path), std::move(handler));
@@ -372,8 +317,7 @@ void TcpTransport::reader_loop(BrokerId self, BrokerId peer, int fd) {
   while (running_.load() && read_frame(fd, frame)) {
     std::optional<Message> msg;
     {
-      TMPS_PROF_STAGE(nodes_[self]->broker->profiler(),
-                      obs::Stage::kDecode);
+      TMPS_PROF_STAGE(broker(self).profiler(), obs::Stage::kDecode);
       msg = decode_message(frame.message());
     }
     if (frame.sender != peer || !msg) {
@@ -389,10 +333,9 @@ void TcpTransport::reader_loop(BrokerId self, BrokerId peer, int fd) {
 
 void TcpTransport::process_frame(BrokerId self, BrokerId from,
                                  const Message& msg) {
-  Node& node = *nodes_[self];
   {
-    std::lock_guard lock(node.state_mu);
-    enqueue(self, node.broker->on_message(from, msg));
+    std::lock_guard lock(nodes_[self]->state_mu);
+    enqueue(self, broker(self).on_message(from, msg));
   }
   flush(self);
   retire(msg.cause);
@@ -408,9 +351,14 @@ void TcpTransport::enqueue(BrokerId from, Broker::Outputs outputs) {
   }
 }
 
+void TcpTransport::transmit(BrokerId from, Broker::Outputs outputs) {
+  enqueue(from, std::move(outputs));
+  flush(from);
+}
+
 void TcpTransport::flush(BrokerId from) {
   Node& node = *nodes_[from];
-  obs::StageProfiler* prof = node.broker->profiler();
+  obs::StageProfiler* prof = broker(from).profiler();
   for (auto& [to, box] : node.outbox) {
     std::unique_lock lock(box.mu);
     // A thread already writing this link drains what was queued behind it.
@@ -447,14 +395,11 @@ void TcpTransport::flush(BrokerId from) {
   }
 }
 
-void TcpTransport::run_on(
-    BrokerId b,
-    const std::function<void(MobilityEngine&, Broker::Outputs&)>& op) {
-  Node& node = *nodes_[b];
+void TcpTransport::run_on(BrokerId b, const Op& op) {
   {
-    std::lock_guard lock(node.state_mu);
+    std::lock_guard lock(nodes_[b]->state_mu);
     Broker::Outputs out;
-    op(*node.engine, out);
+    op(engine(b), out);
     enqueue(b, std::move(out));
   }
   flush(b);

@@ -28,7 +28,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/mobility_engine.h"
 #include "sim/host_core.h"
 #include "transport/http_admin.h"
 
@@ -55,8 +54,6 @@ class TcpTransport final : public HostCore {
   bool start();
   void stop();
 
-  const Overlay& overlay() const { return *overlay_; }
-  MobilityEngine& engine(BrokerId b);
   std::uint16_t port_of(BrokerId b) const;
   /// Admin endpoint port of broker b (0 when the admin plane is disabled or
   /// not yet started).
@@ -65,8 +62,7 @@ class TcpTransport final : public HostCore {
   /// Runs a client operation on broker `b` under its lock, queues the
   /// resulting messages on their links before releasing it, and then
   /// writes them to the sockets.
-  void run_on(BrokerId b,
-              const std::function<void(MobilityEngine&, Broker::Outputs&)>& op);
+  void run_on(BrokerId b, const Op& op) override;
 
   /// Blocks until no frame is in flight and brokers have been idle briefly.
   void drain();
@@ -92,8 +88,6 @@ class TcpTransport final : public HostCore {
   /// Sends a message down the edge-client connection `client` holds to
   /// broker `b`; false when no such connection is live.
   bool send_to_client(BrokerId b, ClientId client, const Message& msg);
-  /// Live edge-client connections at broker `b`.
-  std::size_t client_connections(BrokerId b);
 
   /// Registers an extra admin route served by broker `b`'s admin endpoint
   /// (e.g. GET /sessions). Call before start().
@@ -111,8 +105,6 @@ class TcpTransport final : public HostCore {
   // positive, and served at GET /timeseries) -------------------------------
   SimTime now() const override;
   void schedule(double delay, std::function<void()> fn) override;
-  void snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
-                        bool final_snapshot = false) override;
 
  private:
   // Messages on their way to one neighbour. A broker's outputs are queued
@@ -125,8 +117,6 @@ class TcpTransport final : public HostCore {
     bool writing = false;  // a thread is draining this outbox
   };
   struct Node {
-    std::unique_ptr<Broker> broker;
-    std::unique_ptr<MobilityEngine> engine;
     std::mutex state_mu;
     // Atomic: stop() resets it while the accept thread is still reading.
     std::atomic<int> listen_fd{-1};
@@ -145,12 +135,7 @@ class TcpTransport final : public HostCore {
     std::unique_ptr<HttpAdminServer> admin;
   };
 
-  obs::BrokerSnapshot snapshot_one(BrokerId b);
   bool start_admin();
-  void timeseries_tick();
-  /// Drains every broker's stage-profiler slabs into the metrics registry
-  /// (no-op when profiling is off). Called before any metrics export.
-  void flush_profilers();
 
   bool connect_links();
   void accept_loop(BrokerId b);
@@ -159,13 +144,14 @@ class TcpTransport final : public HostCore {
   /// Counts and queues `outputs` on `from`'s outboxes. Callers hold `from`'s
   /// state lock (or run outside any broker, as timers do).
   void enqueue(BrokerId from, Broker::Outputs outputs);
+  /// enqueue + flush: the engines' transmit hook (timer callbacks).
+  void transmit(BrokerId from, Broker::Outputs outputs) override;
   /// Encodes and writes out `from`'s queued messages, except on links
   /// another thread is already writing.
   void flush(BrokerId from);
   void process_frame(BrokerId self, BrokerId from, const Message& msg);
   void timer_loop();
 
-  const Overlay* overlay_;
   std::uint16_t base_port_;
   BrokerConfig::Admin admin_cfg_;
   BrokerConfig::Obs obs_cfg_;

@@ -131,8 +131,7 @@ TEST(ControlAdmin, ControlJsonIsWellFormedWithoutTicks) {
   // A balancer that never ticked still serves a valid (empty-loads) body.
   Overlay overlay = Overlay::chain(3);
   SimNetwork net(overlay);
-  std::map<BrokerId, MobilityEngine*> engines;
-  control::Balancer balancer(ControlConfig{}, net, overlay, engines);
+  control::Balancer balancer(ControlConfig{}, net);
   const std::string json = control::control_json(balancer);
   EXPECT_EQ(json.find("{\"state\":{"), 0u);
   EXPECT_NE(json.find("\"loads\":{}"), std::string::npos);

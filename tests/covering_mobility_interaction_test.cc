@@ -36,35 +36,26 @@ struct Rig {
               return bc;
             }()) {
     for (BrokerId b = 1; b <= 5; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             deliveries.emplace_back(c, p.id());
           });
     }
     // Publisher at broker 5; both subscribers co-located at broker 1.
-    run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(5, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kPublisher);
       e.advertise(kPublisher, full_space_advertisement(), out);
     });
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run();
+    net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kCoverer);
       e.subscribe(kCoverer, workload_filter(WorkloadKind::Covered, 1), out);
     });
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run();
+    net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kQuenched);
       e.subscribe(kQuenched, workload_filter(WorkloadKind::Covered, 2), out);
     });
-  }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
     net.run();
   }
 
@@ -78,7 +69,6 @@ struct Rig {
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::vector<std::pair<ClientId, PublicationId>> deliveries;
 };
 
@@ -90,22 +80,25 @@ TEST(CoveringMobility, QuenchingActuallyHappensWithCoveringOn) {
   ASSERT_NE(s.net.broker(3).tables().prt().find({kCoverer, 1}), nullptr);
   // Delivery works for both while the coverer is in place.
   const Publication p = make_publication({kPublisher, 1}, 100, 0);
-  s.run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(5, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  s.net.run();
   EXPECT_EQ(s.delivered(kCoverer, p.id()), 1);
   EXPECT_EQ(s.delivered(kQuenched, p.id()), 1);
 }
 
 TEST(CoveringMobility, HazardQuenchedSubscriberLosesDeliveryWhenCovererMoves) {
   Rig s(/*covering_enabled=*/true);
-  s.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kCoverer, 5, out);
   });
+  s.net.run();
   const Publication p = make_publication({kPublisher, 2}, 100, 0);
-  s.run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(5, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  s.net.run();
   // The mover still receives (now locally at broker 5)...
   EXPECT_EQ(s.delivered(kCoverer, p.id()), 1);
   // ...but the quenched subscriber's path is gone: THIS IS THE HAZARD.
@@ -117,13 +110,15 @@ TEST(CoveringMobility, HazardQuenchedSubscriberLosesDeliveryWhenCovererMoves) {
 
 TEST(CoveringMobility, CoveringOffRestoresGuarantee) {
   Rig s(/*covering_enabled=*/false);
-  s.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kCoverer, 5, out);
   });
+  s.net.run();
   const Publication p = make_publication({kPublisher, 2}, 100, 0);
-  s.run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(5, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  s.net.run();
   EXPECT_EQ(s.delivered(kCoverer, p.id()), 1);
   EXPECT_EQ(s.delivered(kQuenched, p.id()), 1);
 }
@@ -133,17 +128,19 @@ TEST(CoveringMobility, TraditionalProtocolUnquenchesCorrectly) {
   // guarantee survives a coverer move under covering — at the message cost
   // the paper measures.
   Rig s(/*covering_enabled=*/true);
-  for (auto& e : s.engines) {
+  for (BrokerId b = 1; b <= 5; ++b) {
     // switch every engine to the traditional protocol for this test
-    e->mutable_config().protocol = MobilityProtocol::Traditional;
+    s.net.engine(b).mutable_config().protocol = MobilityProtocol::Traditional;
   }
-  s.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kCoverer, 5, out);
   });
+  s.net.run();
   const Publication p = make_publication({kPublisher, 2}, 100, 0);
-  s.run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {
+  s.net.run_on(5, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  s.net.run();
   EXPECT_EQ(s.delivered(kCoverer, p.id()), 1);
   EXPECT_EQ(s.delivered(kQuenched, p.id()), 1);
 }

@@ -197,8 +197,9 @@ TEST_F(CoveringMutationTest, AddSubQuenchedByCoverer) {
   ASSERT_FALSE(rt_.add_sub(sub(1, 0, 100), Hop::of_client(1)).empty());
   const RoutingDelta d = rt_.add_sub(sub(2, 10, 20), Hop::of_client(2));
   EXPECT_TRUE(d.ops.empty());
-  ASSERT_EQ(d.quenched.size(), 1u);
-  EXPECT_EQ(d.quenched[0], link_);
+  const SubEntry* row = rt_.prt().find({10, 2});
+  ASSERT_NE(row, nullptr);
+  EXPECT_FALSE(row->forwarded_to.contains(link_));
 }
 
 TEST_F(CoveringMutationTest, AddSubRetractsStrictlyCovered) {

@@ -28,40 +28,32 @@ struct Rig {
               p.duplicate_prob = dup_prob;
               p.seed = seed;
               return p;
+            }(),
+            [&] {
+              MobilityConfig mc;
+              mc.protocol = proto;
+              return mc;
             }()) {
-    MobilityConfig mc;
-    mc.protocol = proto;
     for (BrokerId b = 1; b <= 5; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net, mc));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             ++delivered[{c, p.id()}];
           });
     }
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kPublisher);
       e.advertise(kPublisher, full_space_advertisement(), out);
     });
-    run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run();
+    net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kMover);
       e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 2), out);
     });
-  }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
     net.run();
   }
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::map<std::pair<ClientId, PublicationId>, int> delivered;
 };
 
@@ -70,16 +62,17 @@ class Duplication : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(Duplication, ReconfigMoveSurvivesDuplicatedFrames) {
   Rig r(0.3, MobilityProtocol::Reconfiguration, GetParam());
   TxnId txn = kNoTxn;
-  r.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  r.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(r.engines[1]->source_state(txn), SourceCoordState::Commit);
-  ASSERT_NE(r.engines[4]->find_client(kMover), nullptr);
-  EXPECT_EQ(r.engines[4]->find_client(kMover)->state(), ClientState::Started);
+  r.net.run();
+  EXPECT_EQ(r.net.engine(2).source_state(txn), SourceCoordState::Commit);
+  ASSERT_NE(r.net.engine(5).find_client(kMover), nullptr);
+  EXPECT_EQ(r.net.engine(5).find_client(kMover)->state(), ClientState::Started);
   // One live copy, no shadow residue.
   int copies = 0;
-  for (auto& e : r.engines) {
-    if (e->find_client(kMover)) ++copies;
+  for (BrokerId b = 1; b <= 5; ++b) {
+    if (r.net.engine(b).find_client(kMover)) ++copies;
   }
   EXPECT_EQ(copies, 1);
   for (BrokerId b = 1; b <= 5; ++b) {
@@ -87,20 +80,22 @@ TEST_P(Duplication, ReconfigMoveSurvivesDuplicatedFrames) {
   }
   // Exactly-once delivery still holds after the move.
   const Publication p = make_publication({kPublisher, 7}, 100, 0);
-  r.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  r.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  r.net.run();
   EXPECT_EQ((r.delivered[{kMover, p.id()}]), 1);
 }
 
 TEST_P(Duplication, TraditionalMoveSurvivesDuplicatedFrames) {
   Rig r(0.3, MobilityProtocol::Traditional, GetParam());
-  r.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  r.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kMover, 5, out);
   });
+  r.net.run();
   int copies = 0;
-  for (auto& e : r.engines) {
-    const ClientStub* stub = e->find_client(kMover);
+  for (BrokerId b = 1; b <= 5; ++b) {
+    const ClientStub* stub = r.net.engine(b).find_client(kMover);
     if (stub) {
       ++copies;
       EXPECT_EQ(stub->state(), ClientState::Started);
@@ -109,9 +104,10 @@ TEST_P(Duplication, TraditionalMoveSurvivesDuplicatedFrames) {
   EXPECT_EQ(copies, 1);
   // No duplicate deliveries even with duplicated publish frames.
   const Publication p = make_publication({kPublisher, 7}, 100, 0);
-  r.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  r.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  r.net.run();
   EXPECT_LE((r.delivered[{kMover, p.id()}]), 1);
 }
 
@@ -121,16 +117,18 @@ TEST_P(Duplication, RepeatedMovesUnderDuplication) {
     const BrokerId from = (round % 2 == 0) ? 2 : 5;
     const BrokerId to = (round % 2 == 0) ? 5 : 2;
     TxnId txn = kNoTxn;
-    r.run_op(from, [&](MobilityEngine& e, Broker::Outputs& out) {
+    r.net.run_on(from, [&](MobilityEngine& e, Broker::Outputs& out) {
       txn = e.initiate_move(kMover, to, out);
     });
+    r.net.run();
     ASSERT_NE(txn, kNoTxn) << round;
     const Publication p =
         make_publication({kPublisher, static_cast<std::uint32_t>(50 + round)},
                          100, 0);
-    r.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    r.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.publish(kPublisher, Publication(p), out);
     });
+    r.net.run();
     EXPECT_EQ((r.delivered[{kMover, p.id()}]), 1) << round;
   }
 }

@@ -16,30 +16,20 @@ constexpr ClientId kPublisher = 600;
 struct MoveFixture {
   MoveFixture() : overlay(Overlay::chain(5)), net(overlay) {
     for (BrokerId b = 1; b <= 5; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             deliveries.emplace_back(c, p.id());
           });
     }
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kPublisher);
       e.advertise(kPublisher, full_space_advertisement(), out);
     });
-    run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run();
+    net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kMover);
       e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 2), out);
     });
-  }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
     net.run();
   }
 
@@ -53,7 +43,6 @@ struct MoveFixture {
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::vector<std::pair<ClientId, PublicationId>> deliveries;
 };
 
@@ -90,12 +79,13 @@ TEST(FailureMovement, MoveCompletesThroughMidPathBrokerCrash) {
   // for a second; the transaction must still commit afterwards.
   inj.crash_broker_at(3, 0.0005, 1.0);
   TxnId txn = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Commit);
-  ASSERT_NE(f.engines[4]->find_client(kMover), nullptr);
-  EXPECT_EQ(f.engines[4]->find_client(kMover)->state(), ClientState::Started);
+  f.net.run();
+  EXPECT_EQ(f.net.engine(2).source_state(txn), SourceCoordState::Commit);
+  ASSERT_NE(f.net.engine(5).find_client(kMover), nullptr);
+  EXPECT_EQ(f.net.engine(5).find_client(kMover)->state(), ClientState::Started);
   EXPECT_GE(f.net.now(), 1.0) << "the crash must actually have delayed things";
 }
 
@@ -104,10 +94,11 @@ TEST(FailureMovement, MoveCompletesThroughLinkFailure) {
   FailureInjector inj(f.net, {});
   inj.fail_link_at(3, 4, 0.0005, 2.0);
   TxnId txn = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Commit);
+  f.net.run();
+  EXPECT_EQ(f.net.engine(2).source_state(txn), SourceCoordState::Commit);
   EXPECT_GE(f.net.now(), 2.0);
 }
 
@@ -118,14 +109,14 @@ TEST(FailureMovement, NoLossNoDuplicatesThroughCrashesDuringMove) {
   inj.crash_broker_at(4, 0.2, 0.5);
 
   Broker::Outputs out;
-  f.engines[1]->initiate_move(kMover, 5, out);
+  f.net.engine(2).initiate_move(kMover, 5, out);
   f.net.transmit(2, std::move(out));
   // Publications land while brokers are down and the move is in flight.
   std::vector<PublicationId> ids;
   for (int i = 0; i < 30; ++i) {
     f.net.events().schedule_at(0.05 * i, [&f, i] {
       Broker::Outputs o;
-      f.engines[0]->publish(
+      f.net.engine(1).publish(
           kPublisher,
           make_publication({kPublisher, static_cast<std::uint32_t>(100 + i)},
                            50, 0),
@@ -160,7 +151,7 @@ TEST(FailureMovement, RandomizedFailureStorm) {
     const BrokerId to = (round % 2 == 0) ? 5 : 2;
     f.net.events().schedule_at(2.0 * round + 0.5, [&f, from, to] {
       Broker::Outputs o;
-      f.engines[from - 1]->initiate_move(kMover, to, o);
+      f.net.engine(from).initiate_move(kMover, to, o);
       f.net.transmit(from, std::move(o));
     });
   }
@@ -168,7 +159,7 @@ TEST(FailureMovement, RandomizedFailureStorm) {
   for (int i = 0; i < 50; ++i) {
     f.net.events().schedule_at(0.4 * i, [&f, i] {
       Broker::Outputs o;
-      f.engines[0]->publish(
+      f.net.engine(1).publish(
           kPublisher,
           make_publication({kPublisher, static_cast<std::uint32_t>(500 + i)},
                            100, 0),
@@ -180,8 +171,8 @@ TEST(FailureMovement, RandomizedFailureStorm) {
   f.net.run();
 
   int copies = 0;
-  for (auto& e : f.engines) {
-    const ClientStub* stub = e->find_client(kMover);
+  for (BrokerId b = 1; b <= 5; ++b) {
+    const ClientStub* stub = f.net.engine(b).find_client(kMover);
     if (stub) {
       ++copies;
       EXPECT_EQ(stub->state(), ClientState::Started);

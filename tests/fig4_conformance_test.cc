@@ -25,30 +25,22 @@ constexpr ClientId kMover = 500;
 
 struct Rig {
   Rig() : overlay(Overlay::chain(4)), net(overlay) {
-    for (BrokerId b = 1; b <= 4; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-    }
-    engines[0]->connect_client(kMover);
-    Broker::Outputs out;
-    engines[0]->subscribe(kMover, workload_filter(WorkloadKind::Covered, 1),
-                          out);
-    net.transmit(1, std::move(out));
+    net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
+      e.connect_client(kMover);
+      e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 1), out);
+    });
     net.run();
   }
 
-  /// Client state of the copy hosted at engine `idx` (nullopt = no copy).
-  std::optional<ClientState> client_at(std::size_t idx) const {
-    const ClientStub* stub = engines[idx]->find_client(kMover);
+  /// Client state of the copy hosted at broker `b` (nullopt = no copy).
+  std::optional<ClientState> client_at(BrokerId b) {
+    const ClientStub* stub = net.engine(b).find_client(kMover);
     if (!stub) return std::nullopt;
     return stub->state();
   }
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
 };
 
 void check_source_pair(const std::optional<SourceCoordState>& coord,
@@ -113,47 +105,46 @@ void check_target_pair(const std::optional<TargetCoordState>& coord,
 TEST(Fig4Conformance, CommitRunHonoursConcurrencyTable) {
   Rig r;
   Broker::Outputs out;
-  const TxnId txn = r.engines[0]->initiate_move(kMover, 4, out);
+  const TxnId txn = r.net.engine(1).initiate_move(kMover, 4, out);
   r.net.transmit(1, std::move(out));
 
-  check_source_pair(r.engines[0]->source_state(txn), r.client_at(0));
+  check_source_pair(r.net.engine(1).source_state(txn), r.client_at(1));
   while (r.net.events().step()) {
-    check_source_pair(r.engines[0]->source_state(txn), r.client_at(0));
-    check_target_pair(r.engines[3]->target_state(txn), r.client_at(3));
+    check_source_pair(r.net.engine(1).source_state(txn), r.client_at(1));
+    check_target_pair(r.net.engine(4).target_state(txn), r.client_at(4));
   }
-  EXPECT_EQ(r.engines[0]->source_state(txn), SourceCoordState::Commit);
-  EXPECT_EQ(r.engines[3]->target_state(txn), TargetCoordState::Commit);
+  EXPECT_EQ(r.net.engine(1).source_state(txn), SourceCoordState::Commit);
+  EXPECT_EQ(r.net.engine(4).target_state(txn), TargetCoordState::Commit);
 }
 
 TEST(Fig4Conformance, RejectRunHonoursConcurrencyTable) {
   Rig r;
-  r.engines[3]->mutable_config().accept_clients = false;
+  r.net.engine(4).mutable_config().accept_clients = false;
   Broker::Outputs out;
-  const TxnId txn = r.engines[0]->initiate_move(kMover, 4, out);
+  const TxnId txn = r.net.engine(1).initiate_move(kMover, 4, out);
   r.net.transmit(1, std::move(out));
 
   while (r.net.events().step()) {
-    check_source_pair(r.engines[0]->source_state(txn), r.client_at(0));
-    check_target_pair(r.engines[3]->target_state(txn), r.client_at(3));
+    check_source_pair(r.net.engine(1).source_state(txn), r.client_at(1));
+    check_target_pair(r.net.engine(4).target_state(txn), r.client_at(4));
   }
-  EXPECT_EQ(r.engines[0]->source_state(txn), SourceCoordState::Abort);
-  EXPECT_EQ(r.engines[3]->target_state(txn), TargetCoordState::Abort);
+  EXPECT_EQ(r.net.engine(1).source_state(txn), SourceCoordState::Abort);
+  EXPECT_EQ(r.net.engine(4).target_state(txn), TargetCoordState::Abort);
 }
 
 TEST(Fig4Conformance, RepeatedRoundTripsStayConformant) {
   Rig r;
   for (int round = 0; round < 3; ++round) {
-    const std::size_t src = (round % 2 == 0) ? 0 : 3;
-    const std::size_t dst = 3 - src;
+    const BrokerId src = (round % 2 == 0) ? 1 : 4;
+    const BrokerId dst = 5 - src;
     Broker::Outputs out;
-    const TxnId txn = r.engines[src]->initiate_move(
-        kMover, static_cast<BrokerId>(dst + 1), out);
-    r.net.transmit(static_cast<BrokerId>(src + 1), std::move(out));
+    const TxnId txn = r.net.engine(src).initiate_move(kMover, dst, out);
+    r.net.transmit(src, std::move(out));
     while (r.net.events().step()) {
-      check_source_pair(r.engines[src]->source_state(txn), r.client_at(src));
-      check_target_pair(r.engines[dst]->target_state(txn), r.client_at(dst));
+      check_source_pair(r.net.engine(src).source_state(txn), r.client_at(src));
+      check_target_pair(r.net.engine(dst).target_state(txn), r.client_at(dst));
     }
-    EXPECT_EQ(r.engines[src]->source_state(txn), SourceCoordState::Commit)
+    EXPECT_EQ(r.net.engine(src).source_state(txn), SourceCoordState::Commit)
         << round;
   }
 }

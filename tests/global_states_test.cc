@@ -32,35 +32,27 @@ std::string global_state(const MobilityEngine& src, const MobilityEngine& tgt,
 
 struct Fixture {
   Fixture() : overlay(Overlay::chain(3)), net(overlay) {
-    for (BrokerId b = 1; b <= 3; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-    }
-    engines[0]->connect_client(kMover);
-    Broker::Outputs out;
-    engines[0]->subscribe(kMover, workload_filter(WorkloadKind::Covered, 1),
-                          out);
-    net.transmit(1, std::move(out));
+    net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
+      e.connect_client(kMover);
+      e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 1), out);
+    });
     net.run();
   }
 
   std::set<std::string> observe_move(BrokerId target) {
-    Broker::Outputs out;
-    txn = engines[0]->initiate_move(kMover, target, out);
-    net.transmit(1, std::move(out));
+    net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+      txn = e.initiate_move(kMover, target, out);
+    });
     std::set<std::string> seen;
-    seen.insert(global_state(*engines[0], *engines[2], txn));
+    seen.insert(global_state(net.engine(1), net.engine(3), txn));
     while (net.events().step()) {
-      seen.insert(global_state(*engines[0], *engines[2], txn));
+      seen.insert(global_state(net.engine(1), net.engine(3), txn));
     }
     return seen;
   }
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   TxnId txn = kNoTxn;
 };
 
@@ -89,13 +81,13 @@ TEST(GlobalStates, CommitPathStaysWithinFig5) {
   EXPECT_TRUE(seen.contains("pS,pT") || seen.contains("pS,cT"));
   EXPECT_TRUE(seen.contains("cS,cT"));
   // Terminal state: committed on both sides.
-  EXPECT_EQ(f.engines[0]->source_state(f.txn), SourceCoordState::Commit);
-  EXPECT_EQ(f.engines[2]->target_state(f.txn), TargetCoordState::Commit);
+  EXPECT_EQ(f.net.engine(1).source_state(f.txn), SourceCoordState::Commit);
+  EXPECT_EQ(f.net.engine(3).target_state(f.txn), TargetCoordState::Commit);
 }
 
 TEST(GlobalStates, RejectPathStaysWithinFig5) {
   Fixture f;
-  f.engines[2]->mutable_config().accept_clients = false;
+  f.net.engine(3).mutable_config().accept_clients = false;
   const auto seen = f.observe_move(3);
   for (const auto& s : seen) {
     EXPECT_TRUE(kFig5States.contains(s)) << "unexpected global state " << s;
@@ -104,7 +96,7 @@ TEST(GlobalStates, RejectPathStaysWithinFig5) {
   EXPECT_TRUE(seen.contains("aS,iT") || seen.contains("aS,aT") ||
               seen.contains("wS,aT"))
       << "reject path must reach an abort state";
-  EXPECT_EQ(f.engines[0]->source_state(f.txn), SourceCoordState::Abort);
+  EXPECT_EQ(f.net.engine(1).source_state(f.txn), SourceCoordState::Abort);
 }
 
 TEST(GlobalStates, AtMostOneClientStartedThroughoutCommit) {
@@ -112,13 +104,13 @@ TEST(GlobalStates, AtMostOneClientStartedThroughoutCommit) {
   // is started; in the final state exactly one is started, the other clean.
   Fixture f;
   Broker::Outputs out;
-  f.txn = f.engines[0]->initiate_move(kMover, 3, out);
+  f.txn = f.net.engine(1).initiate_move(kMover, 3, out);
   f.net.transmit(1, std::move(out));
 
   auto started_copies = [&] {
     int n = 0;
-    for (auto& e : f.engines) {
-      const ClientStub* stub = e->find_client(kMover);
+    for (BrokerId b = 1; b <= 3; ++b) {
+      const ClientStub* stub = f.net.engine(b).find_client(kMover);
       if (stub && stub->state() == ClientState::Started) ++n;
     }
     return n;
@@ -131,20 +123,20 @@ TEST(GlobalStates, AtMostOneClientStartedThroughoutCommit) {
   EXPECT_EQ(started_copies(), 1);
   // Exactly one copy exists at all (the other was cleaned).
   int copies = 0;
-  for (auto& e : f.engines) {
-    if (e->find_client(kMover)) ++copies;
+  for (BrokerId b = 1; b <= 3; ++b) {
+    if (f.net.engine(b).find_client(kMover)) ++copies;
   }
   EXPECT_EQ(copies, 1);
 }
 
 TEST(GlobalStates, RejectLeavesSourceStartedOnly) {
   Fixture f;
-  f.engines[2]->mutable_config().accept_clients = false;
+  f.net.engine(3).mutable_config().accept_clients = false;
   f.observe_move(3);
-  const ClientStub* stub = f.engines[0]->find_client(kMover);
+  const ClientStub* stub = f.net.engine(1).find_client(kMover);
   ASSERT_NE(stub, nullptr);
   EXPECT_EQ(stub->state(), ClientState::Started);
-  EXPECT_EQ(f.engines[2]->find_client(kMover), nullptr);
+  EXPECT_EQ(f.net.engine(3).find_client(kMover), nullptr);
 }
 
 }  // namespace

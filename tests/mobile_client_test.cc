@@ -20,28 +20,21 @@ BrokerConfig no_covering() {
 struct Rig {
   Rig() : overlay(Overlay::chain(5)), net(overlay, no_covering()) {
     for (BrokerId b = 1; b <= 5; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             deliveries.emplace_back(c, p.id());
           });
-      directory.add(*engines.back());
     }
   }
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
-  EngineDirectory directory;
   std::vector<std::pair<ClientId, PublicationId>> deliveries;
 };
 
 TEST(MobileClient, ConnectAndLocate) {
   Rig r;
-  MobileClient c = MobileClient::connect(7, 2, r.directory);
+  MobileClient c = MobileClient::connect(7, 2, r.net);
   EXPECT_TRUE(c.connected());
   EXPECT_EQ(c.location(), 2u);
   EXPECT_EQ(c.state(), ClientState::Started);
@@ -49,7 +42,7 @@ TEST(MobileClient, ConnectAndLocate) {
 
 TEST(MobileClient, UnknownClientIsDisconnected) {
   Rig r;
-  MobileClient ghost(999, r.directory);
+  MobileClient ghost(999, r.net);
   EXPECT_FALSE(ghost.connected());
   EXPECT_EQ(ghost.location(), kNoBroker);
   EXPECT_EQ(ghost.state(), ClientState::Init);
@@ -59,8 +52,8 @@ TEST(MobileClient, UnknownClientIsDisconnected) {
 
 TEST(MobileClient, EndToEndViaFacade) {
   Rig r;
-  MobileClient pub = MobileClient::connect(1, 1, r.directory);
-  MobileClient sub = MobileClient::connect(2, 5, r.directory);
+  MobileClient pub = MobileClient::connect(1, 1, r.net);
+  MobileClient sub = MobileClient::connect(2, 5, r.net);
   pub.advertise(full_space_advertisement());
   r.net.run();
   sub.subscribe(workload_filter(WorkloadKind::Covered, 1));
@@ -73,7 +66,7 @@ TEST(MobileClient, EndToEndViaFacade) {
 
 TEST(MobileClient, LocationFollowsMovement) {
   Rig r;
-  MobileClient c = MobileClient::connect(7, 2, r.directory);
+  MobileClient c = MobileClient::connect(7, 2, r.net);
   c.subscribe(workload_filter(WorkloadKind::Covered, 1));
   r.net.run();
   const TxnId txn = c.move_to(5);
@@ -89,8 +82,8 @@ TEST(MobileClient, LocationFollowsMovement) {
 
 TEST(MobileClient, PauseAndResume) {
   Rig r;
-  MobileClient pub = MobileClient::connect(1, 1, r.directory);
-  MobileClient c = MobileClient::connect(7, 3, r.directory);
+  MobileClient pub = MobileClient::connect(1, 1, r.net);
+  MobileClient c = MobileClient::connect(7, 3, r.net);
   pub.advertise(full_space_advertisement());
   r.net.run();
   c.subscribe(workload_filter(WorkloadKind::Covered, 1));
@@ -108,7 +101,7 @@ TEST(MobileClient, PauseAndResume) {
 
 TEST(MobileClient, MoveWhilePausedForOperation) {
   Rig r;
-  MobileClient c = MobileClient::connect(7, 2, r.directory);
+  MobileClient c = MobileClient::connect(7, 2, r.net);
   c.subscribe(workload_filter(WorkloadKind::Covered, 1));
   r.net.run();
   c.pause();
@@ -120,8 +113,8 @@ TEST(MobileClient, MoveWhilePausedForOperation) {
 
 TEST(RoutingAuditor, CleanNetworkPasses) {
   Rig r;
-  MobileClient pub = MobileClient::connect(1, 1, r.directory);
-  MobileClient sub = MobileClient::connect(2, 5, r.directory);
+  MobileClient pub = MobileClient::connect(1, 1, r.net);
+  MobileClient sub = MobileClient::connect(2, 5, r.net);
   const auto aid = pub.advertise(full_space_advertisement());
   r.net.run();
   const Filter f = workload_filter(WorkloadKind::Covered, 1);
@@ -138,10 +131,10 @@ TEST(RoutingAuditor, CleanNetworkPasses) {
 
 TEST(RoutingAuditor, ConsistentAfterManyMoves) {
   Rig r;
-  MobileClient pub = MobileClient::connect(1, 1, r.directory);
+  MobileClient pub = MobileClient::connect(1, 1, r.net);
   const auto aid = pub.advertise(full_space_advertisement());
   r.net.run();
-  MobileClient c = MobileClient::connect(7, 2, r.directory);
+  MobileClient c = MobileClient::connect(7, 2, r.net);
   const Filter f = workload_filter(WorkloadKind::Covered, 1);
   const auto sid = c.subscribe(f);
   r.net.run();
@@ -165,10 +158,10 @@ TEST(RoutingAuditor, ConsistentAfterManyMoves) {
 
 TEST(RoutingAuditor, DetectsBrokenPath) {
   Rig r;
-  MobileClient pub = MobileClient::connect(1, 1, r.directory);
+  MobileClient pub = MobileClient::connect(1, 1, r.net);
   const auto aid = pub.advertise(full_space_advertisement());
   r.net.run();
-  MobileClient c = MobileClient::connect(7, 5, r.directory);
+  MobileClient c = MobileClient::connect(7, 5, r.net);
   const Filter f = workload_filter(WorkloadKind::Covered, 1);
   const auto sid = c.subscribe(f);
   r.net.run();
@@ -189,10 +182,10 @@ TEST(RoutingAuditor, DetectsBrokenPath) {
 
 TEST(RoutingAuditor, DetectsMisdirectedEntry) {
   Rig r;
-  MobileClient pub = MobileClient::connect(1, 1, r.directory);
+  MobileClient pub = MobileClient::connect(1, 1, r.net);
   const auto aid = pub.advertise(full_space_advertisement());
   r.net.run();
-  MobileClient c = MobileClient::connect(7, 5, r.directory);
+  MobileClient c = MobileClient::connect(7, 5, r.net);
   const Filter f = workload_filter(WorkloadKind::Covered, 1);
   const auto sid = c.subscribe(f);
   r.net.run();

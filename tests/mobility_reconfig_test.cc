@@ -18,27 +18,11 @@ class ReconfigFixture : public ::testing::Test {
   explicit ReconfigFixture(Overlay overlay = Overlay::chain(5))
       : overlay_(std::move(overlay)), net_(overlay_) {
     for (BrokerId b = 1; b <= overlay_.broker_count(); ++b) {
-      MobilityConfig cfg;
-      engines_.push_back(
-          std::make_unique<MobilityEngine>(net_.broker(b), net_, cfg));
-      auto* eng = engines_.back().get();
-      eng->set_transmit(
-          [this, b](Broker::Outputs out) { net_.transmit(b, std::move(out)); });
-      eng->set_delivery_sink(
+      net_.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             deliveries_.emplace_back(c, p.id());
           });
     }
-  }
-
-  MobilityEngine& engine(BrokerId b) { return *engines_[b - 1]; }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(engine(b), out);
-    net_.transmit(b, std::move(out));
-    net_.run();
   }
 
   /// Counts deliveries of a given publication to a given client.
@@ -52,7 +36,6 @@ class ReconfigFixture : public ::testing::Test {
 
   Overlay overlay_;
   SimNetwork net_;
-  std::vector<std::unique_ptr<MobilityEngine>> engines_;
   std::vector<std::pair<ClientId, PublicationId>> deliveries_;
 };
 
@@ -61,31 +44,35 @@ class ReconfigChain : public ReconfigFixture {
   ReconfigChain() {
     // Publisher at broker 1 advertising the full space; mover at broker 2
     // subscribed to part of it.
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kPublisher);
       e.advertise(kPublisher, full_space_advertisement(), out);
     });
-    run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run();
+    net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kMover);
       // Covered workload subscription #2: x in [0, 500].
       sub_id_ = e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 2),
                             out);
     });
+    net_.run();
   }
 
   TxnId move(BrokerId from, BrokerId to) {
     TxnId txn = kNoTxn;
-    run_op(from, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run_on(from, [&](MobilityEngine& e, Broker::Outputs& out) {
       txn = e.initiate_move(kMover, to, out);
     });
+    net_.run();
     return txn;
   }
 
   Publication publish(std::uint32_t seq, std::int64_t x = 100) {
     Publication p = make_publication({kPublisher, seq}, x, 0);
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.publish(kPublisher, Publication(p), out);
     });
+    net_.run();
     return p;
   }
 
@@ -95,18 +82,18 @@ class ReconfigChain : public ReconfigFixture {
 TEST_F(ReconfigChain, MoveCommitsAndTransfersClient) {
   const TxnId txn = move(2, 5);
   ASSERT_NE(txn, kNoTxn);
-  EXPECT_EQ(engine(2).source_state(txn), SourceCoordState::Commit);
-  EXPECT_EQ(engine(5).target_state(txn), TargetCoordState::Commit);
-  EXPECT_EQ(engine(2).find_client(kMover), nullptr);
-  ASSERT_NE(engine(5).find_client(kMover), nullptr);
-  EXPECT_EQ(engine(5).find_client(kMover)->state(), ClientState::Started);
+  EXPECT_EQ(net_.engine(2).source_state(txn), SourceCoordState::Commit);
+  EXPECT_EQ(net_.engine(5).target_state(txn), TargetCoordState::Commit);
+  EXPECT_EQ(net_.engine(2).find_client(kMover), nullptr);
+  ASSERT_NE(net_.engine(5).find_client(kMover), nullptr);
+  EXPECT_EQ(net_.engine(5).find_client(kMover)->state(), ClientState::Started);
 }
 
 TEST_F(ReconfigChain, ExactlyOneClientInstanceAfterMove) {
   move(2, 5);
   int instances = 0;
   for (BrokerId b = 1; b <= 5; ++b) {
-    if (engine(b).find_client(kMover)) ++instances;
+    if (net_.engine(b).find_client(kMover)) ++instances;
   }
   EXPECT_EQ(instances, 1);
 }
@@ -156,7 +143,7 @@ TEST_F(ReconfigChain, RepeatedMovesStayConsistent) {
   }
   int instances = 0;
   for (BrokerId b = 1; b <= 5; ++b) {
-    if (engine(b).find_client(kMover)) ++instances;
+    if (net_.engine(b).find_client(kMover)) ++instances;
   }
   EXPECT_EQ(instances, 1);
 }
@@ -178,7 +165,7 @@ TEST_F(ReconfigChain, NotificationsDuringMoveNeitherLostNorDuplicated) {
   // Stop the network mid-move: inject publications while the movement
   // messages are in flight, then let everything drain.
   Broker::Outputs out;
-  engine(2).initiate_move(kMover, 5, out);
+  net_.engine(2).initiate_move(kMover, 5, out);
   net_.transmit(2, std::move(out));
 
   // Interleave publications with the protocol's progress.
@@ -187,7 +174,7 @@ TEST_F(ReconfigChain, NotificationsDuringMoveNeitherLostNorDuplicated) {
     net_.events().schedule_at(0.0005 * i, [this, i] {
       Broker::Outputs o;
       Publication p = make_publication({kPublisher, static_cast<std::uint32_t>(1000 + i)}, 50, 0);
-      engine(1).publish(kPublisher, std::move(p), o);
+      net_.engine(1).publish(kPublisher, std::move(p), o);
       net_.transmit(1, std::move(o));
     });
     pubs.push_back({kPublisher, static_cast<std::uint32_t>(1000 + i)});
@@ -200,12 +187,12 @@ TEST_F(ReconfigChain, NotificationsDuringMoveNeitherLostNorDuplicated) {
 }
 
 TEST_F(ReconfigChain, RejectedMoveKeepsClientAtSource) {
-  engine(5).mutable_config().accept_clients = false;
+  net_.engine(5).mutable_config().accept_clients = false;
   const TxnId txn = move(2, 5);
-  EXPECT_EQ(engine(2).source_state(txn), SourceCoordState::Abort);
-  ASSERT_NE(engine(2).find_client(kMover), nullptr);
-  EXPECT_EQ(engine(2).find_client(kMover)->state(), ClientState::Started);
-  EXPECT_EQ(engine(5).find_client(kMover), nullptr);
+  EXPECT_EQ(net_.engine(2).source_state(txn), SourceCoordState::Abort);
+  ASSERT_NE(net_.engine(2).find_client(kMover), nullptr);
+  EXPECT_EQ(net_.engine(2).find_client(kMover)->state(), ClientState::Started);
+  EXPECT_EQ(net_.engine(5).find_client(kMover), nullptr);
   // Delivery continues at the source as if nothing happened.
   const auto p = publish(7);
   EXPECT_EQ(delivered(kMover, p.id()), 1);
@@ -216,63 +203,66 @@ TEST_F(ReconfigChain, RejectedMoveKeepsClientAtSource) {
 }
 
 TEST_F(ReconfigChain, NotificationsBufferedDuringRejectedMoveAreDelivered) {
-  engine(5).mutable_config().accept_clients = false;
+  net_.engine(5).mutable_config().accept_clients = false;
   Broker::Outputs out;
-  engine(2).initiate_move(kMover, 5, out);
+  net_.engine(2).initiate_move(kMover, 5, out);
   net_.transmit(2, std::move(out));
   // Publication lands while the (doomed) negotiation is in flight.
   Broker::Outputs o;
   Publication p = make_publication({kPublisher, 42}, 50, 0);
-  engine(1).publish(kPublisher, Publication(p), o);
+  net_.engine(1).publish(kPublisher, Publication(p), o);
   net_.transmit(1, std::move(o));
   net_.run();
   EXPECT_EQ(delivered(kMover, p.id()), 1);
 }
 
 TEST_F(ReconfigChain, AdmissionCapacityLimit) {
-  engine(5).mutable_config().max_hosted_clients = 0;
+  net_.engine(5).mutable_config().max_hosted_clients = 0;
   const TxnId txn = move(2, 5);
-  EXPECT_EQ(engine(2).source_state(txn), SourceCoordState::Abort);
-  EXPECT_NE(engine(2).find_client(kMover), nullptr);
+  EXPECT_EQ(net_.engine(2).source_state(txn), SourceCoordState::Abort);
+  EXPECT_NE(net_.engine(2).find_client(kMover), nullptr);
 }
 
 TEST_F(ReconfigChain, MoveToSelfOrUnknownBrokerRefusedLocally) {
   Broker::Outputs out;
-  EXPECT_EQ(engine(2).initiate_move(kMover, 2, out), kNoTxn);
-  EXPECT_EQ(engine(2).initiate_move(kMover, 99, out), kNoTxn);
-  EXPECT_EQ(engine(2).initiate_move(999, 5, out), kNoTxn);  // unknown client
+  EXPECT_EQ(net_.engine(2).initiate_move(kMover, 2, out), kNoTxn);
+  EXPECT_EQ(net_.engine(2).initiate_move(kMover, 99, out), kNoTxn);
+  // Client 999 is not hosted anywhere.
+  EXPECT_EQ(net_.engine(2).initiate_move(999, 5, out), kNoTxn);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(engine(2).find_client(kMover)->state(), ClientState::Started);
+  EXPECT_EQ(net_.engine(2).find_client(kMover)->state(), ClientState::Started);
 }
 
 TEST_F(ReconfigChain, ConcurrentSecondMoveRefusedWhileMoving) {
   Broker::Outputs out;
-  const TxnId t1 = engine(2).initiate_move(kMover, 5, out);
+  const TxnId t1 = net_.engine(2).initiate_move(kMover, 5, out);
   ASSERT_NE(t1, kNoTxn);
   Broker::Outputs out2;
-  EXPECT_EQ(engine(2).initiate_move(kMover, 4, out2), kNoTxn);
+  EXPECT_EQ(net_.engine(2).initiate_move(kMover, 4, out2), kNoTxn);
   net_.transmit(2, std::move(out));
   net_.run();
-  EXPECT_EQ(engine(2).source_state(t1), SourceCoordState::Commit);
+  EXPECT_EQ(net_.engine(2).source_state(t1), SourceCoordState::Commit);
 }
 
 TEST_F(ReconfigChain, PublishWhileMovingIsQueuedAndReplayedAtTarget) {
   // Make the mover a publisher too.
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.advertise(kMover, full_space_advertisement(), out);
   });
+  net_.run();
   // A stationary subscriber at broker 1 listens to everything.
-  run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(700);
     e.subscribe(700, workload_filter(WorkloadKind::Covered, 1), out);
   });
+  net_.run();
 
   Broker::Outputs out;
-  engine(2).initiate_move(kMover, 5, out);
+  net_.engine(2).initiate_move(kMover, 5, out);
   // Publish before transmitting the movement traffic: the stub must queue.
   Broker::Outputs o2;
   Publication p = make_publication({0, 0}, 77, 0);  // id assigned by stub
-  engine(2).publish(kMover, std::move(p), o2);
+  net_.engine(2).publish(kMover, std::move(p), o2);
   EXPECT_TRUE(o2.empty()) << "publish while moving must be queued";
   net_.transmit(2, std::move(out));
   net_.run();
@@ -291,26 +281,30 @@ class ReconfigPublisherMove : public ReconfigFixture {
  protected:
   ReconfigPublisherMove() {
     // Mover is a publisher at broker 2; subscribers at brokers 1 and 4.
-    run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kMover);
       adv_id_ = e.advertise(kMover, full_space_advertisement(), out);
     });
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run();
+    net_.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(701);
       e.subscribe(701, workload_filter(WorkloadKind::Covered, 1), out);
     });
-    run_op(4, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net_.run();
+    net_.run_on(4, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(704);
       e.subscribe(704, workload_filter(WorkloadKind::Covered, 1), out);
     });
+    net_.run();
   }
   AdvertisementId adv_id_;
 };
 
 TEST_F(ReconfigPublisherMove, AdvLastHopsFlipAlongPath) {
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kMover, 5, out);
   });
+  net_.run();
   // Brokers 2..4 now see the advertisement coming from the target side.
   for (BrokerId b = 2; b <= 4; ++b) {
     const auto* e = net_.broker(b).tables().srt().find(adv_id_);
@@ -326,12 +320,14 @@ TEST_F(ReconfigPublisherMove, AdvLastHopsFlipAlongPath) {
 }
 
 TEST_F(ReconfigPublisherMove, PublisherDeliversFromNewLocation) {
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kMover, 5, out);
   });
-  run_op(5, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run();
+  net_.run_on(5, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kMover, make_publication({0, 0}, 100, 0), out);
   });
+  net_.run();
   int got1 = 0, got4 = 0;
   for (const auto& [c, id] : deliveries_) {
     if (id.client != kMover) continue;

@@ -140,27 +140,10 @@ class TracedMovement : public ::testing::Test {
  protected:
   TracedMovement() : overlay_(Overlay::chain(3)), net_(overlay_) {
     net_.tracer()->set_enabled(true);
-    for (BrokerId b = 1; b <= overlay_.broker_count(); ++b) {
-      MobilityConfig cfg;
-      engines_.push_back(
-          std::make_unique<MobilityEngine>(net_.broker(b), net_, cfg));
-      auto* eng = engines_.back().get();
-      eng->set_transmit(
-          [this, b](Broker::Outputs out) { net_.transmit(b, std::move(out)); });
-    }
-  }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines_[b - 1], out);
-    net_.transmit(b, std::move(out));
-    net_.run();
   }
 
   Overlay overlay_;
   SimNetwork net_;
-  std::vector<std::unique_ptr<MobilityEngine>> engines_;
 };
 
 TEST_F(TracedMovement, MovementSpansJoinStatsByTxnId) {
@@ -169,19 +152,22 @@ TEST_F(TracedMovement, MovementSpansJoinStatsByTxnId) {
 #endif
   constexpr ClientId kMover = 500;
   constexpr ClientId kPublisher = 600;
-  run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kPublisher);
     e.advertise(kPublisher, full_space_advertisement(), out);
   });
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run();
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kMover);
     e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 2), out);
   });
+  net_.run();
 
   TxnId txn = kNoTxn;
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 3, out);
   });
+  net_.run();
   ASSERT_NE(txn, kNoTxn);
 
   const auto recs = net_.tracer()->records();
@@ -235,14 +221,16 @@ TEST_F(TracedMovement, MovementSpansJoinStatsByTxnId) {
 TEST_F(TracedMovement, DisabledNetworkTracerEmitsNothing) {
   net_.tracer()->set_enabled(false);
   constexpr ClientId kMover = 500;
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(kMover);
     e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 2), out);
   });
+  net_.run();
   TxnId txn = kNoTxn;
-  run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  net_.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 3, out);
   });
+  net_.run();
   ASSERT_NE(txn, kNoTxn);
   EXPECT_EQ(net_.tracer()->record_count(), 0u);
 }

@@ -84,8 +84,8 @@ TEST_P(PhaseCrashRepair, RepairConvergesAuditClean) {
   EXPECT_TRUE(report.clean()) << report.summary();
   EXPECT_EQ(s.audit().duplicates, 0u);
   EXPECT_EQ(s.audit().mover_losses, 0u);
-  for (const auto& [b, engine] : s.engines()) {
-    EXPECT_FALSE(engine->broker().tables().has_pending_shadows())
+  for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+    EXPECT_FALSE(s.net().broker(b).tables().has_pending_shadows())
         << "residual shadow state at broker " << b;
   }
 }

@@ -38,21 +38,21 @@ BrokerConfig broker_config_for(MobilityProtocol proto) {
   return bc;
 }
 
+MobilityConfig mobility_config_for(MobilityProtocol proto) {
+  MobilityConfig mc;
+  mc.protocol = proto;
+  return mc;
+}
+
 struct World {
   explicit World(std::uint64_t seed, MobilityProtocol proto)
       : rng(seed),
         overlay(Overlay::random_tree(
             8 + static_cast<std::uint32_t>(seed % 9), seed ^ 0xABCD)),
-        net(overlay, broker_config_for(proto)) {
-    MobilityConfig cfg;
-    cfg.protocol = proto;
+        net(overlay, broker_config_for(proto), NetworkProfile::lan(),
+            mobility_config_for(proto)) {
     for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-      engines.push_back(
-          std::make_unique<MobilityEngine>(net.broker(b), net, cfg));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             ++delivered[{c, p.id()}];
           });
@@ -65,8 +65,8 @@ struct World {
   }
 
   MobilityEngine* engine_hosting(ClientId c) {
-    for (auto& e : engines) {
-      if (e->find_client(c)) return e.get();
+    for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
+      if (net.engine(b).find_client(c)) return &net.engine(b);
     }
     return nullptr;
   }
@@ -74,7 +74,6 @@ struct World {
   std::mt19937_64 rng;
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::map<std::pair<ClientId, PublicationId>, int> delivered;
   std::map<ClientId, Filter> filters;
   std::vector<Publication> pubs;
@@ -91,8 +90,8 @@ void run_schedule(World& w) {
     const BrokerId b = w.random_broker();
     const ClientId id = 1 + p;
     Broker::Outputs out;
-    w.engines[b - 1]->connect_client(id);
-    w.engines[b - 1]->advertise(id, full_space_advertisement(), out);
+    w.net.engine(b).connect_client(id);
+    w.net.engine(b).advertise(id, full_space_advertisement(), out);
     w.net.transmit(b, std::move(out));
   }
   w.net.run();
@@ -112,8 +111,8 @@ void run_schedule(World& w) {
         workload_filter(kinds[kind(w.rng)], member(w.rng), s / 10);
     w.filters[id] = f;
     Broker::Outputs out;
-    w.engines[b - 1]->connect_client(id);
-    w.engines[b - 1]->subscribe(id, f, out);
+    w.net.engine(b).connect_client(id);
+    w.net.engine(b).subscribe(id, f, out);
     w.net.transmit(b, std::move(out));
   }
   w.net.run();
@@ -181,8 +180,8 @@ TEST_P(ReconfigProperty, ExactlyOnceDeliveryAndSingleInstance) {
   // Exactly one started instance of every client.
   for (const auto& [cid, filter] : w.filters) {
     int copies = 0;
-    for (auto& e : w.engines) {
-      const ClientStub* stub = e->find_client(cid);
+    for (BrokerId b = 1; b <= w.overlay.broker_count(); ++b) {
+      const ClientStub* stub = w.net.engine(b).find_client(cid);
       if (stub) {
         ++copies;
         EXPECT_EQ(stub->state(), ClientState::Started) << cid;
@@ -238,8 +237,8 @@ TEST_P(TraditionalProperty, NoDuplicatesAndSingleInstance) {
   }
   for (const auto& [cid, filter] : w.filters) {
     int copies = 0;
-    for (auto& e : w.engines) {
-      if (e->find_client(cid)) ++copies;
+    for (BrokerId b = 1; b <= w.overlay.broker_count(); ++b) {
+      if (w.net.engine(b).find_client(cid)) ++copies;
     }
     EXPECT_EQ(copies, 1) << cid;
   }
@@ -254,23 +253,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraditionalProperty,
 TEST(RoutingIsolation, OtherClientsEntriesUntouchedByMove) {
   World w(42, MobilityProtocol::Reconfiguration);
   // One publisher, two subscribers; one of them moves.
-  Broker::Outputs out;
-  w.engines[0]->connect_client(1);
-  w.engines[0]->advertise(1, full_space_advertisement(), out);
-  w.net.transmit(1, std::move(out));
+  w.net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
+    e.connect_client(1);
+    e.advertise(1, full_space_advertisement(), out);
+  });
   w.net.run();
 
   const BrokerId b_stationary = w.overlay.broker_count();
-  Broker::Outputs o2;
-  w.engines[b_stationary - 1]->connect_client(1000);
-  w.engines[b_stationary - 1]->subscribe(
-      1000, workload_filter(WorkloadKind::Covered, 1, 0), o2);
-  w.net.transmit(b_stationary, std::move(o2));
-  Broker::Outputs o3;
-  w.engines[1]->connect_client(1001);
-  w.engines[1]->subscribe(1001, workload_filter(WorkloadKind::Covered, 1, 1),
-                          o3);
-  w.net.transmit(2, std::move(o3));
+  w.net.run_on(b_stationary, [](MobilityEngine& e, Broker::Outputs& out) {
+    e.connect_client(1000);
+    e.subscribe(1000, workload_filter(WorkloadKind::Covered, 1, 0), out);
+  });
+  w.net.run_on(2, [](MobilityEngine& e, Broker::Outputs& out) {
+    e.connect_client(1001);
+    e.subscribe(1001, workload_filter(WorkloadKind::Covered, 1, 1), out);
+  });
   w.net.run();
 
   // Snapshot stationary client's entries at every broker.
@@ -289,9 +286,10 @@ TEST(RoutingIsolation, OtherClientsEntriesUntouchedByMove) {
   const auto before = snapshot();
 
   // Move client 1001 somewhere else.
-  Broker::Outputs o4;
-  w.engines[1]->initiate_move(1001, w.overlay.broker_count() > 2 ? 3 : 1, o4);
-  w.net.transmit(2, std::move(o4));
+  const BrokerId to = w.overlay.broker_count() > 2 ? 3 : 1;
+  w.net.run_on(2, [to](MobilityEngine& e, Broker::Outputs& out) {
+    e.initiate_move(1001, to, out);
+  });
   w.net.run();
 
   EXPECT_EQ(snapshot(), before);

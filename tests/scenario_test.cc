@@ -185,7 +185,8 @@ TEST(Scenario, PublisherMobilityMode) {
   // Movers hold advertisements, not subscriptions.
   bool found_mover_adv = false;
   for (BrokerId b = 1; b <= 14; ++b) {
-    const ClientStub* stub = s.engine(b).find_client(Scenario::subscriber_id(0));
+    const ClientStub* stub =
+        s.net().engine(b).find_client(Scenario::subscriber_id(0));
     if (stub) {
       EXPECT_EQ(stub->advertisements().size(), 1u);
       EXPECT_TRUE(stub->subscriptions().empty());

@@ -54,26 +54,22 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 
 struct AdminRig {
   AdminRig() : overlay(Overlay::chain(2)), net(overlay) {
-    engine = std::make_unique<MobilityEngine>(net.broker(1), net);
-    engine->set_transmit(
-        [this](Broker::Outputs out) { net.transmit(1, std::move(out)); });
     SessionConfig sc;
     sc.enabled = true;
     sc.grace = 5.0;
-    mgr = std::make_unique<session::SessionManager>(*engine, net, sc);
-    engine->set_session_handler(mgr.get());
+    mgr = std::make_unique<session::SessionManager>(net.engine(1), net, sc);
+    net.engine(1).set_session_handler(mgr.get());
   }
 
   Overlay overlay;
   SimNetwork net;
-  std::unique_ptr<MobilityEngine> engine;
   std::unique_ptr<session::SessionManager> mgr;
 };
 
 TEST(SessionAdmin, JsonExposesConfigCountersAndRows) {
   AdminRig r;
-  r.engine->connect_client(100);
-  r.engine->connect_client(101);
+  r.net.engine(1).connect_client(100);
+  r.net.engine(1).connect_client(101);
   const auto tok =
       r.mgr->open(100, make_publication({0, 0}, 100, 0));
   ASSERT_NE(tok, session::kNoToken);
@@ -99,7 +95,7 @@ TEST(SessionAdmin, JsonExposesConfigCountersAndRows) {
 
 TEST(SessionAdmin, JsonReflectsExpiryTombstones) {
   AdminRig r;
-  r.engine->connect_client(100);
+  r.net.engine(1).connect_client(100);
   ASSERT_NE(r.mgr->open(100), session::kNoToken);
   r.mgr->disconnect(100);
   r.net.events().schedule_at(6.0, [] {});
@@ -115,7 +111,7 @@ TEST(SessionAdmin, JsonReflectsExpiryTombstones) {
 
 TEST(SessionAdmin, HttpRouteServesTheDocument) {
   AdminRig r;
-  r.engine->connect_client(100);
+  r.net.engine(1).connect_client(100);
   ASSERT_NE(r.mgr->open(100), session::kNoToken);
 
   HttpAdminServer server;

@@ -1,14 +1,12 @@
 // Property test for the disconnected-operation buffer bounds (session
-// layer): across randomized workloads of buffering, clock advance, age
-// expiry and resume/pause cycles, the count/byte caps are never exceeded
+// layer): across randomized workloads of buffering and resume/pause
+// cycles, the count/byte caps are never exceeded
 // and every publication is accounted exactly once — delivered, still
 // buffered, or in the drop ledger. A manager-level run cross-checks the
 // stub's drop callbacks against the SessionManager ledger and the metrics
 // counter (the soak auditor's bookkeeping).
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -37,10 +35,8 @@ TEST(SessionBufferProperty, CapsHoldAndEveryPublicationAccountedOnce) {
     stub.start();
     stub.pause();  // detached: notifications buffer
 
-    const BufferLimits limits{8, 600, 5.0};
-    double clock = 0;
+    const BufferLimits limits{8, 600};
     stub.set_buffer_limits(limits);
-    stub.set_buffer_clock([&clock] { return clock; });
 
     std::set<PublicationId> pushed, delivered, dropped;
     stub.set_delivery_fn([&](const Publication& p) {
@@ -64,10 +60,7 @@ TEST(SessionBufferProperty, CapsHoldAndEveryPublicationAccountedOnce) {
         const Publication p = sized_pub(seq++, pad);
         pushed.insert(p.id());
         stub.on_notification(p);
-      } else if (dice < 75) {
-        clock += static_cast<double>(rng() % 40) / 10.0;  // up to +4 s
-        stub.expire_buffer();
-      } else if (dice < 85 && stub.state() == ClientState::PauseOper) {
+      } else if (dice < 70 && stub.state() == ClientState::PauseOper) {
         stub.resume();  // flushes the buffer to the application
         stub.pause();
       }
@@ -83,13 +76,6 @@ TEST(SessionBufferProperty, CapsHoldAndEveryPublicationAccountedOnce) {
     for (const PublicationId& id : dropped) {
       EXPECT_EQ(delivered.count(id), 0u) << "seed " << seed;
     }
-
-    // Everything older than the age cap goes when the clock jumps past it.
-    clock += limits.max_age + 1.0;
-    stub.expire_buffer();
-    EXPECT_EQ(stub.buffered_count(), 0u);
-    EXPECT_EQ(stub.buffered_bytes(), 0u);
-    EXPECT_EQ(delivered.size() + dropped.size(), pushed.size());
   }
 }
 
@@ -98,7 +84,7 @@ TEST(SessionBufferProperty, OversizedSinglePublicationIsDroppedNotStuck) {
   stub.create();
   stub.start();
   stub.pause();
-  stub.set_buffer_limits({0, 64, 0});
+  stub.set_buffer_limits({0, 64});
   int drops = 0;
   stub.set_drop_fn([&](const Publication&, const char* reason) {
     EXPECT_STREQ(reason, "overflow");
@@ -117,43 +103,34 @@ TEST(SessionBufferProperty, OversizedSinglePublicationIsDroppedNotStuck) {
 TEST(SessionBufferProperty, ManagerLedgerMatchesStubDropsExactly) {
   Overlay overlay = Overlay::chain(2);
   SimNetwork net(overlay);
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
-  for (BrokerId b = 1; b <= 2; ++b) {
-    engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-    engines.back()->set_transmit(
-        [&net, b](Broker::Outputs out) { net.transmit(b, std::move(out)); });
-  }
   SessionConfig sc;
   sc.enabled = true;
   sc.buffer_max_count = 5;  // tiny cap: most of the flood overflows
-  session::SessionManager mgr(*engines[0], net, sc);
-  engines[0]->set_session_handler(&mgr);
+  session::SessionManager mgr(net.engine(1), net, sc);
+  net.engine(1).set_session_handler(&mgr);
 
-  auto run_op = [&](BrokerId b, auto op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
-    net.run();
-  };
-  run_op(2, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run_on(2, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(1);
     e.advertise(1, full_space_advertisement(), out);
   });
-  run_op(1, [](MobilityEngine& e, Broker::Outputs& out) {
+  net.run();
+  net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(100);
     e.subscribe(100, workload_filter(WorkloadKind::Covered, 1), out);
   });
+  net.run();
 
   ASSERT_NE(mgr.open(100), session::kNoToken);
   mgr.disconnect(100);
   constexpr int kFlood = 40;
   for (std::uint32_t i = 0; i < kFlood; ++i) {
-    run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.publish(1, make_publication({1, 10 + i}, 100, 0), out);
     });
+    net.run();
   }
 
-  const ClientStub* stub = engines[0]->find_client(100);
+  const ClientStub* stub = net.engine(1).find_client(100);
   ASSERT_NE(stub, nullptr);
   EXPECT_EQ(stub->buffered_count(), 5u);
   const std::size_t expect_dropped = kFlood - 5;
@@ -177,7 +154,7 @@ TEST(SessionBufferProperty, ManagerLedgerMatchesStubDropsExactly) {
             expect_dropped);
 
   // Oldest-first drops: the survivors are the newest five.
-  std::vector<Publication> left = engines[0]->find_client(100)->take_buffer();
+  std::vector<Publication> left = net.engine(1).find_client(100)->take_buffer();
   ASSERT_EQ(left.size(), 5u);
   for (std::size_t i = 0; i < left.size(); ++i) {
     EXPECT_EQ(left[i].id(), (PublicationId{1, 10 + kFlood - 5 +

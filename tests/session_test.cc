@@ -37,30 +37,17 @@ struct Rig {
   explicit Rig(SessionConfig sc = test_session_cfg())
       : overlay(Overlay::chain(4)), net(overlay) {
     for (BrokerId b = 1; b <= 4; ++b) {
-      engines.push_back(std::make_unique<MobilityEngine>(net.broker(b), net));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this, b](ClientId c, const Publication& p, SimTime) {
             deliveries.push_back({b, c, p.id()});
           });
       managers.push_back(
-          std::make_unique<SessionManager>(*engines.back(), net, sc));
-      engines.back()->set_session_handler(managers.back().get());
+          std::make_unique<SessionManager>(net.engine(b), net, sc));
+      net.engine(b).set_session_handler(managers.back().get());
     }
   }
 
   SessionManager& mgr(BrokerId b) { return *managers[b - 1]; }
-  MobilityEngine& eng(BrokerId b) { return *engines[b - 1]; }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(eng(b), out);
-    net.transmit(b, std::move(out));
-    net.run();
-  }
 
   /// Advances simulated time to `t` (draining everything scheduled).
   void advance_to(double t) {
@@ -71,20 +58,23 @@ struct Rig {
   /// Publisher client 1 at broker 4 covers the space; subscriber at `home`
   /// holds covered-family filter #1.
   void setup_pub_sub(ClientId sub_client, BrokerId home) {
-    run_op(4, [](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(4, [](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(1);
       e.advertise(1, full_space_advertisement(), out);
     });
-    run_op(home, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run();
+    net.run_on(home, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(sub_client);
       e.subscribe(sub_client, workload_filter(WorkloadKind::Covered, 1), out);
     });
+    net.run();
   }
 
   void publish(std::uint32_t seq) {
-    run_op(4, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(4, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.publish(1, make_publication({1, seq}, 100, 0), out);
     });
+    net.run();
   }
 
   int delivered(ClientId c, PublicationId id) const {
@@ -117,7 +107,6 @@ struct Rig {
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::vector<std::unique_ptr<SessionManager>> managers;
   std::vector<Delivery> deliveries;
 };
@@ -135,7 +124,7 @@ void capture_acks(SessionManager& mgr, std::vector<SessionAckMsg>* sink) {
 TEST(Session, TokenEncodesHomeBrokerAndRequiresHostedClient) {
   Rig r;
   EXPECT_EQ(r.mgr(2).open(77), session::kNoToken) << "client not hosted";
-  r.eng(2).connect_client(77);
+  r.net.engine(2).connect_client(77);
   const SessionToken tok = r.mgr(2).open(77);
   ASSERT_NE(tok, session::kNoToken);
   EXPECT_EQ(SessionManager::home_of(tok), 2u);
@@ -159,14 +148,15 @@ TEST(Session, DisconnectBuffersAndHomeResumeReplaysExactlyOnce) {
   EXPECT_EQ(r.mgr(1).state_of(100), SessionState::Detached);
   r.publish(11);
   EXPECT_EQ(r.delivered(100, {1, 11}), 0) << "buffered while detached";
-  ASSERT_NE(r.eng(1).find_client(100), nullptr);
-  EXPECT_EQ(r.eng(1).find_client(100)->buffered_count(), 1u);
+  ASSERT_NE(r.net.engine(1).find_client(100), nullptr);
+  EXPECT_EQ(r.net.engine(1).find_client(100)->buffered_count(), 1u);
   EXPECT_GT(r.mgr(1).buffered_bytes(), 0u);
 
   // Reappearing at home resumes in place and flushes the buffer.
-  r.run_op(1, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(1, [&](MobilityEngine&, Broker::Outputs& out) {
     r.mgr(1).reattach(100, tok, out);
   });
+  r.net.run();
   EXPECT_EQ(r.mgr(1).state_of(100), SessionState::Active);
   EXPECT_EQ(r.delivered(100, {1, 11}), 1);
   EXPECT_EQ(r.mgr(1).stats().resumed_local, 1u);
@@ -180,7 +170,7 @@ TEST(Session, DisconnectBuffersAndHomeResumeReplaysExactlyOnce) {
 
 TEST(Session, SilentSessionDetachesAfterHeartbeatBudget) {
   Rig r;
-  r.eng(1).connect_client(100);
+  r.net.engine(1).connect_client(100);
   const SessionToken tok = r.mgr(1).open(100);
 
   r.advance_to(2.0);
@@ -206,12 +196,13 @@ TEST(Session, ResumeAtAnotherBrokerTriggersMoveAndAdoption) {
 
   // The client reappears at broker 3 holding its token: the home turns the
   // resume into a movement transaction toward broker 3.
-  r.run_op(3, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(3, [&](MobilityEngine&, Broker::Outputs& out) {
     r.mgr(3).reattach(100, tok, out);
   });
+  r.net.run();
   EXPECT_EQ(r.mgr(1).stats().resumed_move, 1u);
-  EXPECT_EQ(r.eng(1).find_client(100), nullptr) << "stub re-homed";
-  ASSERT_NE(r.eng(3).find_client(100), nullptr);
+  EXPECT_EQ(r.net.engine(1).find_client(100), nullptr) << "stub re-homed";
+  ASSERT_NE(r.net.engine(3).find_client(100), nullptr);
   EXPECT_EQ(r.delivered(100, {1, 11}), 1) << "buffer travelled with the move";
 
   // The reattach broker adopts the session on its next sweep and re-mints
@@ -242,13 +233,15 @@ TEST(Session, MoveDisabledFallsBackToOverlayForwarding) {
   r.mgr(1).disconnect(100);
   r.publish(11);  // buffered
 
-  r.run_op(3, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(3, [&](MobilityEngine&, Broker::Outputs& out) {
     r.mgr(3).reattach(100, tok, out);
   });
+  r.net.run();
   EXPECT_EQ(r.mgr(1).state_of(100), SessionState::Forwarding);
   EXPECT_EQ(r.mgr(3).state_of(100), SessionState::Attached);
   EXPECT_EQ(r.mgr(1).stats().resumed_forward, 1u);
-  EXPECT_NE(r.eng(1).find_client(100), nullptr) << "routing state stays home";
+  EXPECT_NE(r.net.engine(1).find_client(100), nullptr)
+      << "routing state stays home";
 
   // The buffered backlog flushed through the forwarder to broker 3, and new
   // matches keep following.
@@ -260,9 +253,10 @@ TEST(Session, MoveDisabledFallsBackToOverlayForwarding) {
 
   // Heartbeats at the attachment point relay to the home broker.
   r.advance_to(2.0);
-  r.run_op(3, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(3, [&](MobilityEngine&, Broker::Outputs& out) {
     EXPECT_TRUE(r.mgr(3).heartbeat(100, tok, out));
   });
+  r.net.run();
   bool refreshed = false;
   for (const auto& i : r.mgr(1).snapshot()) {
     if (i.client == 100) refreshed = i.last_heartbeat >= 2.0;
@@ -273,9 +267,10 @@ TEST(Session, MoveDisabledFallsBackToOverlayForwarding) {
   // delivery is restored and the attachment record at 3 is gone.
   r.mgr(3).disconnect(100);
   EXPECT_EQ(r.mgr(3).live_sessions(), 0u);
-  r.run_op(1, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(1, [&](MobilityEngine&, Broker::Outputs& out) {
     r.mgr(1).reattach(100, tok, out);
   });
+  r.net.run();
   EXPECT_EQ(r.mgr(1).state_of(100), SessionState::Active);
   r.publish(13);
   EXPECT_EQ(r.delivered_at(1, 100, {1, 13}), 1);
@@ -286,13 +281,15 @@ TEST(Session, ExpiryFiresWillAccountsDropsAndPrunesTombstone) {
   r.setup_pub_sub(100, 1);
   // The session owner also advertises, so its last-will can route; a
   // listener at broker 2 subscribes to the same space.
-  r.run_op(1, [](MobilityEngine& e, Broker::Outputs& out) {
+  r.net.run_on(1, [](MobilityEngine& e, Broker::Outputs& out) {
     e.advertise(100, full_space_advertisement(), out);
   });
-  r.run_op(2, [](MobilityEngine& e, Broker::Outputs& out) {
+  r.net.run();
+  r.net.run_on(2, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(200);
     e.subscribe(200, workload_filter(WorkloadKind::Covered, 2), out);
   });
+  r.net.run();
 
   const SessionToken tok =
       r.mgr(1).open(100, make_publication({0, 0}, 100, 0));
@@ -305,7 +302,7 @@ TEST(Session, ExpiryFiresWillAccountsDropsAndPrunesTombstone) {
 
   EXPECT_EQ(r.mgr(1).stats().expired, 1u);
   EXPECT_EQ(r.mgr(1).stats().wills_fired, 1u);
-  EXPECT_EQ(r.eng(1).find_client(100), nullptr) << "stub dismantled";
+  EXPECT_EQ(r.net.engine(1).find_client(100), nullptr) << "stub dismantled";
   int wills_seen = 0;  // the will is re-minted to {100, seq} at open
   for (const auto& d : r.deliveries) {
     if (d.client == 200 && d.pub.client == 100) ++wills_seen;
@@ -327,9 +324,10 @@ TEST(Session, ExpiryFiresWillAccountsDropsAndPrunesTombstone) {
   EXPECT_EQ(r.mgr(1).expired_sessions(), 1u);
   std::vector<SessionAckMsg> acks;
   capture_acks(r.mgr(3), &acks);
-  r.run_op(3, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(3, [&](MobilityEngine&, Broker::Outputs& out) {
     r.mgr(3).reattach(100, tok, out);
   });
+  r.net.run();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].verdict, SessionVerdict::Expired);
   EXPECT_EQ(r.mgr(3).live_sessions(), 0u) << "placeholder erased on verdict";
@@ -343,8 +341,8 @@ TEST(Session, ExpiryFiresWillAccountsDropsAndPrunesTombstone) {
 
 TEST(Session, CloseLiftsCapsKeepsStubAndOptionallyFiresWill) {
   Rig r;
-  r.eng(1).connect_client(100);
-  ClientStub* stub = r.eng(1).find_client(100);
+  r.net.engine(1).connect_client(100);
+  ClientStub* stub = r.net.engine(1).find_client(100);
   ASSERT_NE(stub, nullptr);
 
   const SessionToken tok =
@@ -357,7 +355,7 @@ TEST(Session, CloseLiftsCapsKeepsStubAndOptionallyFiresWill) {
   EXPECT_EQ(r.mgr(1).stats().closed, 1u);
   EXPECT_EQ(r.mgr(1).stats().wills_fired, 0u) << "will fires only on request";
   EXPECT_EQ(r.mgr(1).live_sessions(), 0u);
-  EXPECT_NE(r.eng(1).find_client(100), nullptr)
+  EXPECT_NE(r.net.engine(1).find_client(100), nullptr)
       << "closing a session is not disconnecting the client";
   EXPECT_EQ(stub->buffer_limits().max_count, 0u) << "caps lifted";
 
@@ -376,9 +374,10 @@ TEST(Session, UnknownTokenResumeIsAckedUnknown) {
   std::vector<SessionAckMsg> acks;
   capture_acks(r.mgr(3), &acks);
   const SessionToken bogus = (SessionToken{1} << 40) | 777;  // home = 1
-  r.run_op(3, [&](MobilityEngine&, Broker::Outputs& out) {
+  r.net.run_on(3, [&](MobilityEngine&, Broker::Outputs& out) {
     r.mgr(3).reattach(55, bogus, out);
   });
+  r.net.run();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].verdict, SessionVerdict::Unknown);
   EXPECT_EQ(r.mgr(3).live_sessions(), 0u) << "no dangling placeholder";
@@ -401,7 +400,8 @@ TEST(Session, OpenFrameConnectsClientAndAcksOverChannel) {
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].verdict, SessionVerdict::Resumed);
   EXPECT_EQ(SessionManager::home_of(acks[0].token), 2u);
-  EXPECT_NE(r.eng(2).find_client(300), nullptr) << "client auto-connected";
+  EXPECT_NE(r.net.engine(2).find_client(300), nullptr)
+      << "client auto-connected";
   EXPECT_EQ(r.mgr(2).state_of(300), SessionState::Active);
 }
 
@@ -438,8 +438,8 @@ TEST(Session, ScenarioExpiredSessionIsGarbageCollectedByRepair) {
   cfg.post_engines = [prev, sessions, victim, opened](Scenario& s) {
     if (prev) prev(s);
     s.net().events().schedule_at(15.0, [&s, sessions, victim, opened] {
-      for (const auto& [b, e] : s.engines()) {
-        if (!e->find_client(victim)) continue;
+      for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+        if (!s.net().engine(b).find_client(victim)) continue;
         session::SessionManager* m = sessions->manager_of(b);
         if (!m) continue;
         *opened = m->open(victim) != session::kNoToken;

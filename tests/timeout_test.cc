@@ -15,40 +15,29 @@ constexpr ClientId kMover = 500;
 constexpr ClientId kPublisher = 600;
 
 struct TimeoutFixture {
-  explicit TimeoutFixture(MobilityConfig cfg) : overlay(Overlay::chain(5)),
-                                                net(overlay) {
+  explicit TimeoutFixture(MobilityConfig cfg)
+      : overlay(Overlay::chain(5)),
+        net(overlay, {}, NetworkProfile::lan(), cfg) {
     for (BrokerId b = 1; b <= 5; ++b) {
-      engines.push_back(
-          std::make_unique<MobilityEngine>(net.broker(b), net, cfg));
-      engines.back()->set_transmit([this, b](Broker::Outputs out) {
-        net.transmit(b, std::move(out));
-      });
-      engines.back()->set_delivery_sink(
+      net.engine(b).set_delivery_sink(
           [this](ClientId c, const Publication& p, SimTime) {
             deliveries.emplace_back(c, p.id());
           });
     }
-    run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kPublisher);
       e.advertise(kPublisher, full_space_advertisement(), out);
     });
-    run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+    net.run();
+    net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
       e.connect_client(kMover);
       e.subscribe(kMover, workload_filter(WorkloadKind::Covered, 2), out);
     });
-  }
-
-  void run_op(BrokerId b, const std::function<void(MobilityEngine&,
-                                                   Broker::Outputs&)>& op) {
-    Broker::Outputs out;
-    op(*engines[b - 1], out);
-    net.transmit(b, std::move(out));
     net.run();
   }
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<MobilityEngine>> engines;
   std::vector<std::pair<ClientId, PublicationId>> deliveries;
 };
 
@@ -64,12 +53,13 @@ TEST(Timeout, NegotiateTimeoutAbortsAndClientResumes) {
   // The target broker is down long past the negotiate timeout.
   f.net.pause_broker(5, 2.0);
   TxnId txn = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Abort);
-  ASSERT_NE(f.engines[1]->find_client(kMover), nullptr);
-  EXPECT_EQ(f.engines[1]->find_client(kMover)->state(), ClientState::Started);
+  f.net.run();
+  EXPECT_EQ(f.net.engine(2).source_state(txn), SourceCoordState::Abort);
+  ASSERT_NE(f.net.engine(2).find_client(kMover), nullptr);
+  EXPECT_EQ(f.net.engine(2).find_client(kMover)->state(), ClientState::Started);
 }
 
 TEST(Timeout, LateApproveAfterAbortIsUnwound) {
@@ -78,37 +68,40 @@ TEST(Timeout, LateApproveAfterAbortIsUnwound) {
   // negotiate timeout fired.
   f.net.pause_broker(4, 1.0);
   TxnId txn = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
+  f.net.run();
   // Source aborted; the late approve was answered with an abort that
   // unwound the shadow configuration everywhere and dismantled the target
   // copy.
-  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Abort);
-  EXPECT_EQ(f.engines[4]->target_state(txn), TargetCoordState::Abort);
-  EXPECT_EQ(f.engines[4]->find_client(kMover), nullptr);
+  EXPECT_EQ(f.net.engine(2).source_state(txn), SourceCoordState::Abort);
+  EXPECT_EQ(f.net.engine(5).target_state(txn), TargetCoordState::Abort);
+  EXPECT_EQ(f.net.engine(5).find_client(kMover), nullptr);
   for (BrokerId b = 1; b <= 5; ++b) {
     EXPECT_FALSE(f.net.broker(b).tables().has_pending_shadows()) << b;
   }
   // Exactly one copy of the client, started, at the source.
   int copies = 0;
-  for (auto& e : f.engines) {
-    if (e->find_client(kMover)) ++copies;
+  for (BrokerId b = 1; b <= 5; ++b) {
+    if (f.net.engine(b).find_client(kMover)) ++copies;
   }
   EXPECT_EQ(copies, 1);
-  EXPECT_EQ(f.engines[1]->find_client(kMover)->state(), ClientState::Started);
+  EXPECT_EQ(f.net.engine(2).find_client(kMover)->state(), ClientState::Started);
 }
 
 TEST(Timeout, DeliveryIntactAfterAbortedMove) {
   TimeoutFixture f(with_timeouts(0.1, 0.0));
   f.net.pause_broker(4, 1.0);
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.initiate_move(kMover, 5, out);
   });
+  f.net.run();
   const Publication p = make_publication({kPublisher, 7}, 100, 0);
-  f.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  f.net.run();
   int n = 0;
   for (const auto& [c, id] : f.deliveries) {
     if (c == kMover && id == p.id()) ++n;
@@ -120,17 +113,19 @@ TEST(Timeout, ClientCanMoveAgainAfterAbort) {
   TimeoutFixture f(with_timeouts(0.1, 0.0));
   f.net.pause_broker(4, 1.0);
   TxnId t1 = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     t1 = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(f.engines[1]->source_state(t1), SourceCoordState::Abort);
+  f.net.run();
+  EXPECT_EQ(f.net.engine(2).source_state(t1), SourceCoordState::Abort);
   // Second attempt with a healthy network succeeds.
   TxnId t2 = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     t2 = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(f.engines[1]->source_state(t2), SourceCoordState::Commit);
-  ASSERT_NE(f.engines[4]->find_client(kMover), nullptr);
+  f.net.run();
+  EXPECT_EQ(f.net.engine(2).source_state(t2), SourceCoordState::Commit);
+  ASSERT_NE(f.net.engine(5).find_client(kMover), nullptr);
 }
 
 TEST(Timeout, TargetPrepareTimeoutUnwindsTargetCopy) {
@@ -143,14 +138,15 @@ TEST(Timeout, TargetPrepareTimeoutUnwindsTargetCopy) {
   // state message is held back beyond the target's prepare timeout.
   f.net.events().schedule_at(0.020, [&f] { f.net.pause_broker(2, 2.0); });
   TxnId txn = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
+  f.net.run();
   // Whichever way the race resolves, safety holds: exactly one started copy
   // and no shadow leaks.
   int copies = 0;
-  for (auto& e : f.engines) {
-    const ClientStub* stub = e->find_client(kMover);
+  for (BrokerId b = 1; b <= 5; ++b) {
+    const ClientStub* stub = f.net.engine(b).find_client(kMover);
     if (stub) {
       ++copies;
       EXPECT_EQ(stub->state(), ClientState::Started);
@@ -170,17 +166,19 @@ TEST(Timeout, PrepareRetryIsIdempotentUnderDelayedAck) {
   // Slow the target so the ack comes back after a retry fired.
   f.net.events().schedule_at(0.025, [&f] { f.net.pause_broker(5, 0.5); });
   TxnId txn = kNoTxn;
-  f.run_op(2, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(2, [&](MobilityEngine& e, Broker::Outputs& out) {
     txn = e.initiate_move(kMover, 5, out);
   });
-  EXPECT_EQ(f.engines[1]->source_state(txn), SourceCoordState::Commit);
-  ASSERT_NE(f.engines[4]->find_client(kMover), nullptr);
-  EXPECT_EQ(f.engines[4]->find_client(kMover)->state(), ClientState::Started);
+  f.net.run();
+  EXPECT_EQ(f.net.engine(2).source_state(txn), SourceCoordState::Commit);
+  ASSERT_NE(f.net.engine(5).find_client(kMover), nullptr);
+  EXPECT_EQ(f.net.engine(5).find_client(kMover)->state(), ClientState::Started);
   // Exactly-once delivery still holds after the duplicate state/ack round.
   const Publication p = make_publication({kPublisher, 7}, 100, 0);
-  f.run_op(1, [&](MobilityEngine& e, Broker::Outputs& out) {
+  f.net.run_on(1, [&](MobilityEngine& e, Broker::Outputs& out) {
     e.publish(kPublisher, Publication(p), out);
   });
+  f.net.run();
   int n = 0;
   for (const auto& [c, id] : f.deliveries) {
     if (c == kMover && id == p.id()) ++n;
