@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -142,16 +141,12 @@ FleetResult run_one(bool with_sessions, double duration,
   BrokerConfig bc;
   bc.subscription_covering = false;
   bc.advertisement_covering = false;
+  bc.session.enabled = with_sessions;
+  bc.session.heartbeat_interval = 0;  // the tape, not beacons, drives liveness
+  bc.session.grace = kGrace;
+  bc.session.buffer_max_count = 5;  // small enough that hot flappers overflow
+  bc.session.tick_interval = 0.5;
   SimNetwork net(overlay, bc);
-
-  SessionConfig sc;
-  sc.enabled = true;
-  sc.heartbeat_interval = 0;  // the tape, not beacons, drives liveness
-  sc.grace = kGrace;
-  sc.buffer_max_count = 5;  // small enough that hot flappers overflow
-  sc.tick_interval = 0.5;
-
-  std::vector<std::unique_ptr<SessionManager>> managers;
 
   struct Delivery {
     BrokerId broker;
@@ -176,15 +171,11 @@ FleetResult run_one(bool with_sessions, double duration,
   std::map<ClientId, Edge> fleet;
 
   for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
-    MobilityEngine* eng = &net.engine(b);
-    eng->set_delivery_sink(
+    net.engine(b).set_delivery_sink(
         [&deliveries, b](ClientId c, const Publication& p, SimTime t) {
           deliveries.push_back({b, c, p.id(), t});
         });
-    if (with_sessions) {
-      managers.push_back(std::make_unique<SessionManager>(*eng, net, sc));
-      SessionManager* mgr = managers.back().get();
-      eng->set_session_handler(mgr);
+    if (SessionManager* mgr = net.sessions(b)) {
       // Acks reach the bench the way they reach a real edge device: tokens
       // re-mint on movement adoption, so the tape always resumes with the
       // latest one.
@@ -199,7 +190,7 @@ FleetResult run_one(bool with_sessions, double duration,
       });
     }
   }
-  auto mgr = [&](BrokerId b) -> SessionManager& { return *managers[b - 1]; };
+  auto mgr = [&](BrokerId b) -> SessionManager& { return *net.sessions(b); };
 
   // --- initial placement ---------------------------------------------------
   net.run_on(kPubBroker, [](MobilityEngine& e, Broker::Outputs& out) {
@@ -233,7 +224,9 @@ FleetResult run_one(bool with_sessions, double duration,
   place(lapsing_id(1), 2);
 
   if (with_sessions) {
-    for (auto& m : managers) m->start(duration);
+    for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
+      mgr(b).start(bc.session.tick_interval, duration);
+    }
   }
 
   // --- publication stream --------------------------------------------------
@@ -379,7 +372,8 @@ FleetResult run_one(bool with_sessions, double duration,
 
   std::set<std::pair<ClientId, std::uint64_t>> ledgered;
   if (with_sessions) {
-    for (const auto& m : managers) {
+    for (BrokerId b = 1; b <= overlay.broker_count(); ++b) {
+      const SessionManager* m = net.sessions(b);
       for (const auto& d : m->drop_log()) {
         ++r.dropped_ledger_total;
         if (d.client >= regular_id(0) && d.client < regular_id(kRegular)) {
@@ -389,12 +383,12 @@ FleetResult run_one(bool with_sessions, double duration,
           }
         }
       }
-      const std::string b = std::to_string(m->broker_id());
       for (const char* reason : {"overflow", "expiry"}) {
-        r.dropped_counters += net.metrics()
-                                  ->counter("tmps_session_dropped_total",
-                                            {{"broker", b}, {"reason", reason}})
-                                  .value();
+        r.dropped_counters +=
+            net.metrics()
+                ->counter("tmps_session_dropped_total",
+                          {{"broker", std::to_string(b)}, {"reason", reason}})
+                .value();
       }
       r.moves += m->stats().resumed_move;
       r.adoptions += m->stats().adopted;

@@ -66,14 +66,12 @@ BalanceResult run_one(ScenarioConfig cfg, const std::string& run_label) {
   auto base_deliv = std::make_shared<std::map<BrokerId, std::uint64_t>>();
   auto base_pub = std::make_shared<std::map<BrokerId, std::uint64_t>>();
   const double warmup = cfg.warmup;
-  const auto prev_post_build = cfg.post_build;
-  cfg.post_build = [=](SimNetwork& net) {
-    if (prev_post_build) prev_post_build(net);
-    net.events().schedule_at(warmup, [=, &net] {
-      *base_deliv = net.stats().broker_delivery_loads();
-      *base_pub = net.stats().broker_pub_loads();
+  cfg.post_build.push_back([=](Scenario& s) {
+    s.net().events().schedule_at(warmup, [=, &s] {
+      *base_deliv = s.stats().broker_delivery_loads();
+      *base_pub = s.stats().broker_pub_loads();
     });
-  };
+  });
 
   Scenario s(std::move(cfg));
   s.run();

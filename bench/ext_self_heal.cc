@@ -21,7 +21,6 @@
 
 #include "bench_util.h"
 #include "failure/failure_injector.h"
-#include "repair/scenario_repair.h"
 
 using namespace tmps;
 using namespace tmps::bench;
@@ -98,22 +97,23 @@ HealResult run_one(bool repair_on, const std::string& run_label) {
   ScenarioConfig cfg = chaos_config();
   apply_tracing(cfg, run_label);
   cfg.broker.repair.enabled = repair_on;
-  auto repair = repair::install_repair(cfg);
 
   std::unique_ptr<FailureInjector> inj;
   auto tail_base = std::make_shared<std::uint64_t>(0);
   const double tail_start = cfg.duration - kTailWindow;
-  cfg.post_build = [&, tail_base, tail_start](SimNetwork& net) {
+  cfg.post_build.push_back([&, tail_base, tail_start](Scenario& s) {
     FailurePlan plan;
     plan.seed = cfg.seed;  // one seed reproduces workload and faults
-    inj = std::make_unique<FailureInjector>(net, plan);
+    inj = std::make_unique<FailureInjector>(s.net(), plan);
     for (PhaseCrash& c : crash_schedule()) inj->crash_at_phase(c);
-    net.events().schedule_at(tail_start, [repair, tail_base] {
-      for (const auto& e : repair->engines) {
-        *tail_base += e->stats().ops_total;
+    s.net().events().schedule_at(tail_start, [&s, tail_base] {
+      for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+        if (const auto* e = s.net().repair(b)) {
+          *tail_base += e->stats().ops_total;
+        }
       }
     });
-  };
+  });
 
   Scenario s(cfg);
   s.run();
@@ -130,7 +130,9 @@ HealResult run_one(bool repair_on, const std::string& run_label) {
     if (s.net().broker(b).tables().has_pending_shadows()) ++r.shadow_brokers;
   }
   std::uint64_t final_ops = 0;
-  for (const auto& e : repair->engines) {
+  for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+    const auto* e = s.net().repair(b);
+    if (!e) continue;
     r.repair_rounds = std::max(r.repair_rounds, e->stats().rounds);
     final_ops += e->stats().ops_total;
   }

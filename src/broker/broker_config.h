@@ -69,15 +69,14 @@ struct BrokerConfig {
   /// Anti-entropy repair loop (src/repair): each broker periodically sweeps
   /// its routing/transaction state for invariants the movement protocol says
   /// should hold, exchanges forwarding digests with its overlay neighbours,
-  /// and emits corrective routing ops. Host-level section like Control: the
-  /// host builds one RepairEngine per broker when `enabled`. Times are in
-  /// host seconds.
+  /// and emits corrective routing ops. The host (HostCore) builds one
+  /// RepairEngine per broker when `enabled`; the driver starts its sweeps.
+  /// Times are in host seconds.
   struct Repair {
     bool enabled = false;
-    /// Period of the local invariant sweep (and digest exchange).
+    /// Period of the local invariant sweep (and digest exchange). Scenario
+    /// runs broker b's first sweep at sweep_interval + 0.05 * (b - 1).
     double sweep_interval = 2.0;
-    /// First sweep fires this long after start() (lets joins settle).
-    double start_delay = 0.0;
     /// Shadow/parked transaction state younger than this is considered
     /// legitimately in flight and left alone. Must comfortably exceed the
     /// longest healthy movement hand-off.
@@ -91,8 +90,9 @@ struct BrokerConfig {
 
   /// Edge-client session layer (src/session): durable sessions with
   /// resumption tokens, disconnected-operation buffering and connectivity-
-  /// triggered mobility. Host-level section like Repair: the host builds one
-  /// SessionManager per broker when `enabled`. Times are in host seconds.
+  /// triggered mobility. Like Repair, the host (HostCore) builds one
+  /// SessionManager per broker when `enabled`; the driver starts its ticks.
+  /// Times are in host seconds.
   struct Session {
     bool enabled = false;
     /// Expected client heartbeat cadence; a session missing
@@ -113,10 +113,10 @@ struct BrokerConfig {
     /// resumes the stub and forwards deliveries to the broker the client
     /// reattached to.
     bool move_on_resume = true;
-    /// Cadence of the session timer sweep (liveness, grace).
+    /// Cadence of the session timer sweep (liveness, grace). Scenario runs
+    /// broker b's first tick at tick_interval + 0.03 * (b - 1);
+    /// TcpSessionHost runs every broker's at tick_interval.
     double tick_interval = 1.0;
-    /// First tick fires this long after start().
-    double start_delay = 0.0;
   };
   Session session;
 

@@ -2,7 +2,7 @@
 //
 // The control plane layers *above* the mobility engines, so the scenario
 // does not link against it; instead this helper hangs the balancer off the
-// scenario's post_engines / movement_observer hooks. Usage:
+// scenario's post_build / movement_observer hooks. Usage:
 //
 //   ScenarioConfig cfg = ...;
 //   cfg.broker.control.enabled = true;          // or TMPS_BALANCE=1
@@ -28,9 +28,9 @@ struct BalancerHandle {
   std::unique_ptr<Balancer> balancer;
 };
 
-/// Chains onto any hooks already present in `cfg`. The balancer samples the
-/// sim's queue backlog (SimNetwork::broker_backlog_seconds) and runs until
-/// cfg.duration.
+/// Appends a post_build hook and chains onto any movement_observer already
+/// in `cfg`. The balancer samples the sim's queue backlog
+/// (SimNetwork::broker_backlog_seconds) and runs until cfg.duration.
 std::shared_ptr<BalancerHandle> install_balancer(ScenarioConfig& cfg);
 
 }  // namespace tmps::control

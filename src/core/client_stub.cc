@@ -169,19 +169,19 @@ void ClientStub::buffer_push(Publication pub) {
 
 void ClientStub::enforce_limits() {
   while (limits_.max_count && buffer_.size() > limits_.max_count) {
-    drop_front("overflow");
+    drop_front();
   }
   while (limits_.max_bytes && buffered_bytes_ > limits_.max_bytes &&
          !buffer_.empty()) {
-    drop_front("overflow");
+    drop_front();
   }
 }
 
-void ClientStub::drop_front(const char* reason) {
+void ClientStub::drop_front() {
   Buffered b = std::move(buffer_.front());
   buffer_.pop_front();
   buffered_bytes_ -= b.bytes;
-  if (drop_) drop_(b.pub, reason);
+  if (drop_) drop_(b.pub);
 }
 
 std::vector<Publication> ClientStub::take_commands() {

@@ -56,10 +56,9 @@ class ClientStub {
  public:
   /// Application-level delivery callback.
   using DeliveryFn = std::function<void(const Publication&)>;
-  /// Invoked for every buffered notification discarded to honour the caps;
-  /// `reason` is "overflow" (count/byte cap). Each dropped publication is
-  /// reported exactly once.
-  using DropFn = std::function<void(const Publication&, const char* reason)>;
+  /// Invoked for every buffered notification discarded to honour the
+  /// count/byte caps. Each dropped publication is reported exactly once.
+  using DropFn = std::function<void(const Publication&)>;
 
   explicit ClientStub(ClientId id);
 
@@ -139,7 +138,7 @@ class ClientStub {
   void flush_buffer();
   void buffer_push(Publication pub);
   void enforce_limits();
-  void drop_front(const char* reason);
+  void drop_front();
 
   ClientId id_;
   ClientState state_ = ClientState::Init;

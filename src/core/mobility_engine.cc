@@ -288,14 +288,14 @@ void MobilityEngine::on_control(BrokerId from, const Message& msg,
   } else if (std::holds_alternative<RepairDigestMsg>(msg.payload) ||
              std::holds_alternative<RepairRequestMsg>(msg.payload) ||
              std::holds_alternative<RepairVerdictMsg>(msg.payload)) {
-    if (repair_) repair_->on_repair(from, msg, out);
+    if (repair_) repair_(from, msg, out);
   } else if (std::holds_alternative<SessionOpenMsg>(msg.payload) ||
              std::holds_alternative<SessionResumeMsg>(msg.payload) ||
              std::holds_alternative<SessionAckMsg>(msg.payload) ||
              std::holds_alternative<SessionHeartbeatMsg>(msg.payload) ||
              std::holds_alternative<SessionCloseMsg>(msg.payload) ||
              std::holds_alternative<SessionForwardMsg>(msg.payload)) {
-    if (session_) session_->on_session(from, msg, out);
+    if (session_) session_(from, msg, out);
   }
 }
 

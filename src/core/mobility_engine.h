@@ -82,27 +82,6 @@ struct MobilityConfig {
   double prepare_timeout = 0;
 };
 
-/// Attachment point for the anti-entropy repair subsystem (src/repair).
-/// The engine answers transaction-resolution probes itself (it owns the
-/// coordinator records); digests, re-forward requests and verdicts arriving
-/// at this broker are handed to the attached handler.
-class RepairHandler {
- public:
-  virtual ~RepairHandler() = default;
-  virtual void on_repair(BrokerId from, const Message& msg,
-                         std::vector<std::pair<BrokerId, Message>>& out) = 0;
-};
-
-/// Attachment point for the edge-client session layer (src/session).
-/// Session wire messages (open / resume / ack / heartbeat / close /
-/// forward) arriving at this broker are handed to the attached handler.
-class SessionHandler {
- public:
-  virtual ~SessionHandler() = default;
-  virtual void on_session(BrokerId from, const Message& msg,
-                          std::vector<std::pair<BrokerId, Message>>& out) = 0;
-};
-
 class MobilityEngine final : public ControlHandler {
  public:
   using Outputs = Broker::Outputs;
@@ -112,6 +91,10 @@ class MobilityEngine final : public ControlHandler {
   /// Movement-completion observer (fires at the broker where the movement
   /// resolves: source on commit/reject, target on traditional completion).
   using MoveCallback = std::function<void(const MovementRecord&)>;
+  /// Handles a message of an attached service (repair, sessions) that
+  /// arrived at this broker from `from`, appending what to send to `out`.
+  using MessageHandler =
+      std::function<void(BrokerId from, const Message&, Outputs& out)>;
 
   MobilityEngine(Broker& broker, RuntimeEnv& env, MobilityConfig cfg = {});
 
@@ -205,13 +188,20 @@ class MobilityEngine final : public ControlHandler {
 
   // --- anti-entropy repair support (src/repair) ------------------------------
 
-  /// Repair messages other than probes (digest / request / verdict) arriving
-  /// at this broker are dispatched to `handler` (not owned; may be null).
-  void set_repair_handler(RepairHandler* handler) { repair_ = handler; }
+  /// The anti-entropy repair subsystem (src/repair) attaches here. The
+  /// engine answers transaction-resolution probes itself (it owns the
+  /// coordinator records); digests, re-forward requests and verdicts
+  /// arriving at this broker go to `handler` (empty: dropped).
+  void set_repair_handler(MessageHandler handler) {
+    repair_ = std::move(handler);
+  }
 
-  /// Session wire messages arriving at this broker are dispatched to
-  /// `handler` (not owned; may be null).
-  void set_session_handler(SessionHandler* handler) { session_ = handler; }
+  /// The edge-client session layer (src/session) attaches here: session
+  /// wire messages (open / resume / ack / heartbeat / close / forward)
+  /// arriving at this broker go to `handler` (empty: dropped).
+  void set_session_handler(MessageHandler handler) {
+    session_ = std::move(handler);
+  }
 
   /// Coordinator-side verdict for `txn` from this broker's transaction
   /// records. A transaction this coordinator has no record of can never
@@ -313,8 +303,8 @@ class MobilityEngine final : public ControlHandler {
   std::function<void(Outputs)> transmit_;
   DeliverySink delivery_;
   MoveCallback move_cb_;
-  RepairHandler* repair_ = nullptr;
-  SessionHandler* session_ = nullptr;
+  MessageHandler repair_;
+  MessageHandler session_;
   std::map<ClientId, std::unique_ptr<ClientStub>> clients_;
   std::map<TxnId, SourceMove> source_moves_;
   std::map<TxnId, TargetMove> target_moves_;

@@ -86,7 +86,24 @@ void Scenario::build() {
       if (cfg_.movement_observer) cfg_.movement_observer(rec);
     });
   }
-  if (cfg_.post_engines) cfg_.post_engines(*this);
+  // The services start in broker order, repair before sessions, staggered
+  // per broker so the fleet does not sweep (and digest) in lockstep.
+  const BrokerId n = overlay_.broker_count();
+  for (BrokerId b = 1; b <= n; ++b) {
+    if (repair::RepairEngine* re = net_->repair(b)) {
+      re->start(cfg_.broker.repair.sweep_interval +
+                    0.05 * static_cast<double>(b - 1),
+                cfg_.duration);
+    }
+  }
+  for (BrokerId b = 1; b <= n; ++b) {
+    if (session::SessionManager* m = net_->sessions(b)) {
+      m->start(cfg_.broker.session.tick_interval +
+                   0.03 * static_cast<double>(b - 1),
+               cfg_.duration);
+    }
+  }
+  for (const auto& hook : cfg_.post_build) hook(*this);
 }
 
 void Scenario::publish_tick(BrokerId b, ClientId id) {
@@ -252,7 +269,6 @@ void Scenario::on_movement(const MovementRecord& rec) {
 
 void Scenario::run() {
   build();
-  if (cfg_.post_build) cfg_.post_build(*net_);
   schedule_publishers();
   schedule_joins();
   if (cfg_.broker.obs.timeseries_interval > 0) {

@@ -115,15 +115,12 @@ struct ScenarioConfig {
   /// (honours trace_append / run_label like the other sinks).
   std::string snapshot_path;
 
-  /// Called after the network and engines are built, before any events run.
-  /// Tests use this to attach a FailureInjector or arm message faults.
-  std::function<void(SimNetwork&)> post_build;
-
-  /// Called once the mobility engines exist (end of build, before events).
-  /// The load-balancing control plane (src/control) attaches here — it
-  /// layers *above* the engines, so the glue lives in the hook rather than
-  /// in the scenario itself.
-  std::function<void(Scenario&)> post_engines;
+  /// Run in insertion order at the end of the build: after the host, its
+  /// engines and services exist and the services have started, before any
+  /// client or publisher event. The load-balancing control plane
+  /// (src/control) attaches here — it layers *above* the engines — and
+  /// tests attach a FailureInjector or arm message faults (via s.net()).
+  std::vector<std::function<void(Scenario&)>> post_build;
   /// Observes every finished movement (after the scenario's own
   /// bookkeeping). The balancer uses this to learn commit/abort outcomes.
   std::function<void(const MovementRecord&)> movement_observer;

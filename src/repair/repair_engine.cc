@@ -48,9 +48,9 @@ RepairEngine::RepairEngine(MobilityEngine& engine, RuntimeEnv& env,
 
 BrokerId RepairEngine::broker_id() const { return broker_->id(); }
 
-void RepairEngine::start(double until) {
+void RepairEngine::start(double first, double until) {
   until_ = until;
-  schedule_next(cfg_.start_delay > 0 ? cfg_.start_delay : cfg_.sweep_interval);
+  schedule_next(first);
 }
 
 void RepairEngine::schedule_next(double delay) {

@@ -59,26 +59,27 @@ struct RepairStats {
   std::size_t suspect_shadows = 0;   ///< txns with live local shadow state
 };
 
-class RepairEngine final : public RepairHandler {
+class RepairEngine {
  public:
   using Outputs = MobilityEngine::Outputs;
 
-  /// Attach with engine.set_repair_handler(&repair). `env` must be the
-  /// runtime the engine runs on; `cfg` is this broker's Repair section.
+  /// Built and attached to `engine` by the host (HostCore), once per broker
+  /// when BrokerConfig::repair is enabled; `env` is the broker's runtime, so
+  /// the sweeps run at this broker. `cfg` is this broker's Repair section.
   RepairEngine(MobilityEngine& engine, RuntimeEnv& env, RepairConfig cfg);
 
-  /// Schedules recurring sweeps (the first after cfg.start_delay, or one
-  /// sweep_interval when unset) until simulated time `until`.
-  void start(double until);
+  /// Schedules recurring sweeps, the first `first` seconds from now, then
+  /// every sweep_interval until host time `until`.
+  void start(double first, double until);
 
   /// One repair round: parked-transaction sweep, stale-shadow scan, orphan
   /// scan, quench reconciliation, neighbour digests. Public so tests can
   /// drive rounds manually. Emits via the engine's transmit hook.
   void sweep();
 
-  // RepairHandler: digests / re-send requests / verdicts arriving at this
-  // broker (probes are answered by the engine itself).
-  void on_repair(BrokerId from, const Message& msg, Outputs& out) override;
+  /// The engine's repair handler: digests / re-send requests / verdicts
+  /// arriving at this broker (probes are answered by the engine itself).
+  void on_repair(BrokerId from, const Message& msg, Outputs& out);
 
   const RepairStats& stats() const { return stats_; }
   const RepairConfig& config() const { return cfg_; }

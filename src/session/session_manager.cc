@@ -1,6 +1,5 @@
 #include "session/session_manager.h"
 
-#include <cstring>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -53,9 +52,9 @@ BrokerId SessionManager::broker_id() const { return broker_->id(); }
 
 double SessionManager::now() const { return env_->now(); }
 
-void SessionManager::start(double until) {
+void SessionManager::start(double first, double until) {
   until_ = until;
-  schedule_next(cfg_.start_delay > 0 ? cfg_.start_delay : cfg_.tick_interval);
+  schedule_next(first);
 }
 
 void SessionManager::schedule_next(double delay) {
@@ -185,7 +184,7 @@ void SessionManager::reattach(ClientId client, SessionToken token,
                         kNoTxn, out);
 }
 
-// --- SessionHandler ----------------------------------------------------------
+// --- the engine's session handler --------------------------------------------
 
 void SessionManager::on_session(BrokerId from, const Message& msg,
                                 Outputs& out) {
@@ -483,7 +482,7 @@ void SessionManager::expire(Session& s, Outputs& out) {
     // Notifications still buffered at expiry are lost with the session;
     // every one lands in the drop ledger before the stub goes away.
     for (const Publication& p : stub->take_buffer()) {
-      note_drop(client, p, "expiry");
+      note_drop(client, p, DropReason::Expiry);
     }
   }
   engine_->remove_client(client);
@@ -560,23 +559,21 @@ void SessionManager::deliver_locally(ClientStub& stub) {
 void SessionManager::configure_stub(ClientStub& stub) {
   stub.set_buffer_limits({cfg_.buffer_max_count, kBufferMaxBytes});
   const ClientId client = stub.id();
-  stub.set_drop_fn([this, client](const Publication& pub, const char* reason) {
-    note_drop(client, pub, reason);
+  stub.set_drop_fn([this, client](const Publication& pub) {
+    note_drop(client, pub, DropReason::Overflow);
   });
 }
 
 void SessionManager::note_drop(ClientId client, const Publication& pub,
-                               const char* reason) {
-  const bool overflow = std::strcmp(reason, "overflow") == 0;
-  if (overflow) {
+                               DropReason reason) {
+  if (reason == DropReason::Overflow) {
     ++stats_.dropped_overflow;
     if (dropped_overflow_ctr_) dropped_overflow_ctr_->inc();
   } else {
     ++stats_.dropped_expiry;
     if (dropped_expiry_ctr_) dropped_expiry_ctr_->inc();
   }
-  drop_log_.push_back(
-      {pub.id(), client, overflow ? DropReason::Overflow : DropReason::Expiry});
+  drop_log_.push_back({pub.id(), client, reason});
 }
 
 void SessionManager::answer(BrokerId dest, SessionAckMsg ack, Outputs& out) {

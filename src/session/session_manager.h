@@ -90,19 +90,22 @@ struct SessionInfo {
   bool has_will = false;
 };
 
-class SessionManager final : public SessionHandler {
+class SessionManager {
  public:
   using Outputs = MobilityEngine::Outputs;
   /// Direct channel to a locally connected client (tcp_transport session
   /// connections); returns false when the client has no live channel.
   using ClientChannel = std::function<bool(ClientId, const Message&)>;
 
-  /// Attach with engine.set_session_handler(&mgr). `env` must be the
-  /// runtime the engine runs on; `cfg` is this broker's Session section.
+  /// Built and attached to `engine` by the host (HostCore), once per broker
+  /// when BrokerConfig::session is enabled; `env` is the broker's runtime,
+  /// so the ticks run at this broker. `cfg` is this broker's Session
+  /// section.
   SessionManager(MobilityEngine& engine, RuntimeEnv& env, SessionConfig cfg);
 
-  /// Schedules recurring timer sweeps until simulated time `until`.
-  void start(double until);
+  /// Schedules recurring timer sweeps, the first `first` seconds from now,
+  /// then every tick_interval until host time `until`.
+  void start(double first, double until);
 
   /// One timer sweep: heartbeat liveness, grace expiry,
   /// movement-adoption progress, gauge refresh. Public so tests can drive
@@ -136,9 +139,9 @@ class SessionManager final : public SessionHandler {
   /// acts on (adopt / deliver forwarded traffic / report expiry).
   void reattach(ClientId client, SessionToken token, Outputs& out);
 
-  // --- SessionHandler -------------------------------------------------------
+  // --- the engine's session handler -----------------------------------------
 
-  void on_session(BrokerId from, const Message& msg, Outputs& out) override;
+  void on_session(BrokerId from, const Message& msg, Outputs& out);
 
   // --- introspection --------------------------------------------------------
 
@@ -199,7 +202,7 @@ class SessionManager final : public SessionHandler {
   void fire_will(Session& s, Outputs& out);
   void expire(Session& s, Outputs& out);
   void answer(BrokerId dest, SessionAckMsg ack, Outputs& out);
-  void note_drop(ClientId client, const Publication& pub, const char* reason);
+  void note_drop(ClientId client, const Publication& pub, DropReason reason);
   void refresh_gauges();
   void schedule_next(double delay);
   double now() const;

@@ -1,71 +1,18 @@
 #include "session/tcp_session_host.h"
 
+#include <limits>
+
 #include "session/session_admin.h"
 
 namespace tmps::session {
 
-TcpSessionHost::TcpSessionHost(TcpTransport& transport, SessionConfig cfg)
-    : transport_(&transport), cfg_(cfg) {
-  for (BrokerId b = 1; b <= transport.overlay().broker_count(); ++b) {
-    MobilityEngine& engine = transport.engine(b);
-    auto mgr = std::make_unique<SessionManager>(engine, transport, cfg_);
-    engine.set_session_handler(mgr.get());
-    // Deliveries (stub flushes, forwarded publications) go down the client's
-    // socket; a dead socket just drops the frame — the session layer's
-    // buffering only covers the *detached* state, matching push semantics.
-    engine.set_delivery_sink(
-        [this, b](ClientId c, const Publication& pub, SimTime) {
-          Message m;
-          m.payload = PublishMsg{pub};
-          transport_->send_to_client(b, c, m);
-        });
-    mgr->set_client_channel([this, b](ClientId c, const Message& m) {
-      return transport_->send_to_client(b, c, m);
-    });
-    transport.add_admin_route(b, "/sessions",
-                              [raw = mgr.get()]() -> HttpResponse {
-                                return {200, "application/json",
-                                        sessions_json(*raw)};
-                              });
-    managers_.push_back(std::move(mgr));
-  }
-  transport.set_session_frame_handler(
-      [this](BrokerId b, ClientId client, const Message& msg) {
-        on_client_frame(b, client, msg);
-      });
-  transport.set_client_gone_handler([this](BrokerId b, ClientId client) {
-    transport_->run_on(b, [this, b, client](MobilityEngine&,
-                                            Broker::Outputs&) {
-      if (SessionManager* m = manager_of(b)) m->disconnect(client);
-    });
-  });
-}
+namespace {
 
-TcpSessionHost::~TcpSessionHost() { stop(); }
-
-SessionManager* TcpSessionHost::manager_of(BrokerId b) const {
-  return b >= 1 && b <= managers_.size() ? managers_[b - 1].get() : nullptr;
-}
-
-void TcpSessionHost::start() {
-  for (const auto& m : managers_) schedule_tick(m->broker_id());
-}
-
-void TcpSessionHost::schedule_tick(BrokerId b) {
-  transport_->schedule(cfg_.tick_interval, [this, b] {
-    if (stopped_.load()) return;
-    transport_->run_on(b, [this, b](MobilityEngine&, Broker::Outputs&) {
-      if (SessionManager* m = manager_of(b)) m->tick();
-    });
-    schedule_tick(b);
-  });
-}
-
-void TcpSessionHost::on_client_frame(BrokerId b, ClientId client,
-                                     const Message& msg) {
-  transport_->run_on(b, [this, b, client, &msg](MobilityEngine& engine,
-                                                Broker::Outputs& out) {
-    SessionManager* m = manager_of(b);
+/// An edge-client frame, handled at broker `b` under its state lock.
+void on_client_frame(TcpTransport& t, BrokerId b, ClientId client,
+                     const Message& msg) {
+  t.run_on(b, [&](MobilityEngine& engine, Broker::Outputs& out) {
+    SessionManager* m = t.sessions(b);
     if (!m) return;
     if (std::holds_alternative<SessionOpenMsg>(msg.payload)) {
       m->on_session(b, msg, out);
@@ -83,6 +30,50 @@ void TcpSessionHost::on_client_frame(BrokerId b, ClientId client,
       engine.advertise(client, a->adv.filter, out);
     }
   });
+}
+
+}  // namespace
+
+TcpSessionHost::TcpSessionHost(TcpTransport& transport)
+    : transport_(&transport) {
+  TcpTransport* t = &transport;
+  for (BrokerId b = 1; b <= t->overlay().broker_count(); ++b) {
+    SessionManager* mgr = t->sessions(b);
+    if (!mgr) continue;
+    // Deliveries (stub flushes, forwarded publications) go down the client's
+    // socket; a dead socket just drops the frame — the session layer's
+    // buffering only covers the *detached* state, matching push semantics.
+    t->engine(b).set_delivery_sink(
+        [t, b](ClientId c, const Publication& pub, SimTime) {
+          Message m;
+          m.payload = PublishMsg{pub};
+          t->send_to_client(b, c, m);
+        });
+    mgr->set_client_channel([t, b](ClientId c, const Message& m) {
+      return t->send_to_client(b, c, m);
+    });
+    t->add_admin_route(b, "/sessions", [mgr]() -> HttpResponse {
+      return {200, "application/json", sessions_json(*mgr)};
+    });
+  }
+  t->set_session_frame_handler(
+      [t](BrokerId b, ClientId client, const Message& msg) {
+        on_client_frame(*t, b, client, msg);
+      });
+  t->set_client_gone_handler([t](BrokerId b, ClientId client) {
+    t->run_on(b, [t, b, client](MobilityEngine&, Broker::Outputs&) {
+      if (SessionManager* m = t->sessions(b)) m->disconnect(client);
+    });
+  });
+}
+
+void TcpSessionHost::start() {
+  for (BrokerId b = 1; b <= transport_->overlay().broker_count(); ++b) {
+    if (SessionManager* m = transport_->sessions(b)) {
+      m->start(m->config().tick_interval,
+               std::numeric_limits<double>::infinity());
+    }
+  }
 }
 
 }  // namespace tmps::session

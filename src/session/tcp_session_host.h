@@ -1,16 +1,14 @@
-// Binds the session layer to a TcpTransport: one SessionManager per broker,
-// edge-client frames routed into it, acks and deliveries pushed back down
-// the client sockets, socket EOFs turned into session disconnects, and a
+// Binds the session layer to a TcpTransport: edge-client frames routed into
+// each broker's SessionManager, acks and deliveries pushed back down the
+// client sockets, socket EOFs turned into session disconnects, and a
 // GET /sessions admin route per broker.
 //
-// All session-manager entry points run under the owning broker's state lock
-// (via TcpTransport::run_on), mirroring how overlay frames are processed —
-// the managers themselves stay single-threaded.
+// The managers are the transport's own (HostCore builds one per broker when
+// its BrokerConfig::session is enabled), and every manager entry point runs
+// at its broker through TcpTransport::run_on or the broker runtime's timers,
+// under the broker's state lock, mirroring how overlay frames are
+// processed — the managers themselves stay single-threaded.
 #pragma once
-
-#include <atomic>
-#include <memory>
-#include <vector>
 
 #include "session/session_manager.h"
 #include "transport/tcp_transport.h"
@@ -19,28 +17,19 @@ namespace tmps::session {
 
 class TcpSessionHost {
  public:
-  /// Call before transport.start(). Creates the managers, attaches them to
-  /// the engines and registers the frame/disconnect handlers and admin
-  /// routes. `cfg` usually is the transport's BrokerConfig::Session section.
-  TcpSessionHost(TcpTransport& transport, SessionConfig cfg);
-  ~TcpSessionHost();
+  /// Call before transport.start(), on a transport built with
+  /// BrokerConfig::session enabled. Registers the frame/disconnect handlers,
+  /// the delivery sinks, the client channels and the admin routes; they
+  /// refer to the transport only, so this object may go before it does.
+  explicit TcpSessionHost(TcpTransport& transport);
 
-  /// Starts the per-broker timer sweeps (call after transport.start()).
+  /// Starts every manager's timer sweeps, the first after one
+  /// tick_interval (call after transport.start()). They run until the
+  /// transport stops.
   void start();
-  /// Stops scheduling new sweeps (the transport's stop() drops pending
-  /// timers; this makes an explicit early stop possible too).
-  void stop() { stopped_.store(true); }
-
-  SessionManager* manager_of(BrokerId b) const;
 
  private:
-  void on_client_frame(BrokerId b, ClientId client, const Message& msg);
-  void schedule_tick(BrokerId b);
-
   TcpTransport* transport_;
-  SessionConfig cfg_;
-  std::vector<std::unique_ptr<SessionManager>> managers_;
-  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace tmps::session

@@ -1,26 +1,80 @@
 #include "sim/host_core.h"
 
 #include <cassert>
+#include <functional>
 
 namespace tmps {
+
+// Broker b's view of the host: everything forwards, except that timers and
+// deferred drain watchers run at b through run_on.
+class HostCore::BrokerRuntime final : public RuntimeEnv {
+ public:
+  BrokerRuntime(HostCore& host, BrokerId b) : host_(&host), b_(b) {}
+
+  SimTime now() const override { return host_->now(); }
+  void schedule(double delay, std::function<void()> fn) override {
+    host_->schedule(delay, [host = host_, b = b_, fn = std::move(fn)] {
+      host->run_on(b, [&fn](MobilityEngine&, Broker::Outputs&) { fn(); });
+    });
+  }
+  void movement_finished(MovementRecord rec) override {
+    host_->movement_finished(std::move(rec));
+  }
+  void on_cause_drained(TxnId cause, std::function<void()> fn) override {
+    host_->watch_drain(b_, cause, std::move(fn));
+  }
+  obs::Tracer* tracer() override { return host_->tracer(); }
+  obs::MetricsRegistry* metrics() override { return host_->metrics(); }
+  void snapshot_routing(std::vector<obs::BrokerSnapshot>& out,
+                        bool final_snapshot) override {
+    host_->snapshot_routing(out, final_snapshot);
+  }
+
+ private:
+  HostCore* host_;
+  BrokerId b_;
+};
 
 HostCore::HostCore(const Overlay& overlay, const BrokerConfig& broker_cfg,
                    const MobilityConfig& mobility_cfg)
     : overlay_(&overlay) {
   tracer_.set_clock([this] { return now(); });
   const BrokerId n = overlay.broker_count();
+  runtimes_.resize(n + 1);
   brokers_.resize(n + 1);
   engines_.resize(n + 1);
+  repairs_.resize(n + 1);
+  sessions_.resize(n + 1);
   for (BrokerId b = 1; b <= n; ++b) {
+    runtimes_[b] = std::make_unique<BrokerRuntime>(*this, b);
     brokers_[b] = std::make_unique<Broker>(b, overlay_, broker_cfg);
     brokers_[b]->set_observability(&tracer_, &metrics_);
     brokers_[b]->set_clock([this] { return now(); });
-    engines_[b] =
-        std::make_unique<MobilityEngine>(*brokers_[b], *this, mobility_cfg);
-    engines_[b]->set_transmit(
+    engines_[b] = std::make_unique<MobilityEngine>(*brokers_[b],
+                                                   *runtimes_[b], mobility_cfg);
+    MobilityEngine& engine = *engines_[b];
+    engine.set_transmit(
         [this, b](Broker::Outputs out) { transmit(b, std::move(out)); });
+    if (broker_cfg.repair.enabled) {
+      repairs_[b] = std::make_unique<repair::RepairEngine>(
+          engine, *runtimes_[b], broker_cfg.repair);
+      engine.set_repair_handler(std::bind_front(
+          &repair::RepairEngine::on_repair, repairs_[b].get()));
+    }
+    if (broker_cfg.session.enabled) {
+      sessions_[b] = std::make_unique<session::SessionManager>(
+          engine, *runtimes_[b], broker_cfg.session);
+      engine.set_session_handler(std::bind_front(
+          &session::SessionManager::on_session, sessions_[b].get()));
+      if (repairs_[b]) {
+        repairs_[b]->set_session_probe(std::bind_front(
+            &session::SessionManager::repair_hint, sessions_[b].get()));
+      }
+    }
   }
 }
+
+HostCore::~HostCore() = default;
 
 Broker& HostCore::broker(BrokerId b) {
   assert(b >= 1 && b < brokers_.size());
@@ -30,6 +84,16 @@ Broker& HostCore::broker(BrokerId b) {
 MobilityEngine& HostCore::engine(BrokerId b) {
   assert(b >= 1 && b < engines_.size());
   return *engines_[b];
+}
+
+repair::RepairEngine* HostCore::repair(BrokerId b) {
+  assert(b >= 1 && b < repairs_.size());
+  return repairs_[b].get();
+}
+
+session::SessionManager* HostCore::sessions(BrokerId b) {
+  assert(b >= 1 && b < sessions_.size());
+  return sessions_[b].get();
 }
 
 obs::BrokerSnapshot HostCore::snapshot(BrokerId b) {
@@ -83,9 +147,19 @@ void HostCore::movement_finished(MovementRecord rec) {
 }
 
 void HostCore::on_cause_drained(TxnId cause, std::function<void()> fn) {
+  watch_drain(kNoBroker, cause, std::move(fn));
+}
+
+void HostCore::watch_drain(BrokerId owner, TxnId cause,
+                           std::function<void()> fn) {
   {
     std::lock_guard lock(mu_);
     if (outstanding_.contains(cause)) {
+      if (owner != kNoBroker) {
+        fn = [this, owner, fn = std::move(fn)] {
+          run_on(owner, [&fn](MobilityEngine&, Broker::Outputs&) { fn(); });
+        };
+      }
       drain_watchers_[cause].push_back(std::move(fn));
       return;
     }

@@ -4,9 +4,13 @@
 //
 //   * the hosted brokers 1..N of the overlay and, on each, its mobile
 //     container (MobilityEngine, Sec. 4.1), wired to this host's tracer,
-//     metrics, clock and send path;
+//     metrics, clock and send path, plus the services the BrokerConfig
+//     enables: the anti-entropy RepairEngine and the SessionManager,
+//     attached to the engine and (both on) to each other. The driver starts
+//     them;
+//   * a runtime per broker, the RuntimeEnv its engine and services see;
 //   * run_on(), the one way to act at a broker from outside a message
-//     handler: client operations, snapshots, session ticks;
+//     handler: client operations, snapshots, timers, drain watchers;
 //   * the cause ledger — messages in flight per movement cause tag, and the
 //     watchers behind RuntimeEnv::on_cause_drained. The traditional
 //     protocol's commit and the auditor's quiescence check both rest on it;
@@ -24,21 +28,21 @@
 //
 // Locking: one mutex guards the ledger and Stats' traffic and movement
 // accounting (in_flight() is an atomic, so messages without a cause retire
-// without it). Drain watchers and on_cause_drained's immediate call run
-// after it is released, so they may send. What run_on and the other
-// callbacks hold depends on the host:
+// without it). Drain watchers run after it is released, so they may send.
+// A broker's runtime runs its timers through run_on(b), and its drain
+// watchers too when they fire from retire(); a cause that has already
+// drained runs the watcher at once, inline, since the caller is at b. The
+// host's own schedule and on_cause_drained run their callbacks at no
+// broker. What run_on holds depends on the host:
 //
 //   * SimNetwork is single-threaded: run_on runs its op at once and hands
-//     the outputs to the network; timers, drain watchers and broker
-//     handlers all run on the event loop.
+//     the outputs to the network; everything runs on the event loop.
 //   * TcpTransport runs Broker::on_message and run_on ops under the
-//     broker's state lock, and queues their outputs on the broker's links
-//     before releasing it (per-link FIFO). Delivery sinks and movement
-//     callbacks therefore run under that lock. Timer callbacks (schedule)
-//     run on the timer thread and drain watchers on the reader thread that
-//     retired the last message, both with no broker lock held: engine
-//     timeouts and the traditional protocol are therefore not yet
-//     thread-safe there.
+//     broker's state lock, queues their outputs on the broker's links
+//     (per-link FIFO) and writes the sockets after releasing it. Delivery
+//     sinks, movement callbacks, engine timeouts, service ticks and the
+//     traditional protocol's drain-based commit all run under that lock.
+//     transmit() only queues; retire() runs with no broker lock held.
 //
 // stats() hands out the live object unguarded: on a threaded host, read it
 // only while the host is quiet (after drain() or stop()).
@@ -57,6 +61,8 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "pubsub/messages.h"
+#include "repair/repair_engine.h"
+#include "session/session_manager.h"
 #include "sim/runtime_env.h"
 #include "sim/stats.h"
 
@@ -70,10 +76,16 @@ class HostCore : public RuntimeEnv {
 
   HostCore(const HostCore&) = delete;
   HostCore& operator=(const HostCore&) = delete;
+  ~HostCore() override;
 
   const Overlay& overlay() const { return *overlay_; }
   Broker& broker(BrokerId b);
   MobilityEngine& engine(BrokerId b);
+  /// Broker b's repair engine, or nullptr when BrokerConfig::repair is off.
+  repair::RepairEngine* repair(BrokerId b);
+  /// Broker b's session manager, or nullptr when BrokerConfig::session is
+  /// off.
+  session::SessionManager* sessions(BrokerId b);
 
   /// Runs `op` at broker `b` and sends its outputs, ordered with the
   /// broker's message handling (see Locking above).
@@ -115,12 +127,13 @@ class HostCore : public RuntimeEnv {
                         bool final_snapshot = false) override;
 
  protected:
-  /// Builds broker b and its engine for b = 1..N of `overlay`.
+  /// Builds broker b, its engine and its enabled services for b = 1..N of
+  /// `overlay`.
   HostCore(const Overlay& overlay, const BrokerConfig& broker_cfg,
            const MobilityConfig& mobility_cfg);
 
   /// The host's send path: hands `outputs`, produced at broker `from`, to
-  /// the network. Every engine's transmit hook (timer callbacks) ends here.
+  /// the network. Every engine's transmit hook ends here.
   virtual void transmit(BrokerId from, Broker::Outputs outputs) = 0;
 
   /// Broker `b`'s routing state at now().
@@ -134,6 +147,12 @@ class HostCore : public RuntimeEnv {
   void retire(TxnId cause);
 
  private:
+  class BrokerRuntime;
+
+  /// Runs `fn` once `cause` drains: at `owner` through run_on when it is a
+  /// broker, else plainly. An already drained cause runs `fn` now, inline.
+  void watch_drain(BrokerId owner, TxnId cause, std::function<void()> fn);
+
   mutable std::mutex mu_;
   Stats stats_;
   std::atomic<std::uint64_t> in_flight_{0};
@@ -143,11 +162,15 @@ class HostCore : public RuntimeEnv {
   obs::MetricsRegistry metrics_;
   obs::TimeSeriesRing timeseries_{&metrics_};
   // The hosted objects cache handles into the tracer and metrics above, so
-  // they are declared after them and destroyed first (engines before their
-  // brokers). Indexed by BrokerId; slot 0 is empty.
+  // they are declared after them and destroyed first (services before their
+  // engines, engines before their brokers and runtimes). Indexed by
+  // BrokerId; slot 0 is empty.
   const Overlay* overlay_;
+  std::vector<std::unique_ptr<BrokerRuntime>> runtimes_;
   std::vector<std::unique_ptr<Broker>> brokers_;
   std::vector<std::unique_ptr<MobilityEngine>> engines_;
+  std::vector<std::unique_ptr<repair::RepairEngine>> repairs_;
+  std::vector<std::unique_ptr<session::SessionManager>> sessions_;
 };
 
 }  // namespace tmps

@@ -145,11 +145,6 @@ void SimNetwork::arrive(BrokerId from, BrokerId to, Message msg) {
     proc = profile_.sub_proc;
   }
   stats().count_broker_message(to, is_pub);
-  if (profile_.proc_per_entry > 0 && !msg.is_control()) {
-    const auto entries = broker(to).tables().prt().size() +
-                         broker(to).tables().srt().size();
-    proc += profile_.proc_per_entry * static_cast<double>(entries);
-  }
   const double done = start + proc;
   b.next_free = done;
   b.busy_seconds += proc;

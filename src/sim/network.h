@@ -34,9 +34,6 @@ struct NetworkProfile {
   /// Processing time for movement-protocol (control) messages: relayed or
   /// touching only the moving client's own entries.
   double control_proc = 0.001;
-  /// Optional additional cost per routing-table entry applied to routing
-  /// messages (0 = flat costs). Exposed for the processing-cost ablation.
-  double proc_per_entry = 0.0;
   /// Mean of exponential per-message extra delay (0 = deterministic).
   double delay_jitter = 0.0;
   /// Heterogeneous per-link base delays (log-normal around link_delay), as

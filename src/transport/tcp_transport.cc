@@ -88,16 +88,17 @@ bool TcpTransport::start() {
 
   // Wait until every node holds a link to each of its neighbours (the
   // accepting side registers asynchronously).
-  for (int spin = 0; spin < 500; ++spin) {
-    bool all = true;
-    for (BrokerId b = 1; b < nodes_.size(); ++b) {
-      std::lock_guard lock(nodes_[b]->peers_mu);
-      if (nodes_[b]->peer_fd.size() != overlay().neighbors(b).size()) {
-        all = false;
+  {
+    std::unique_lock links(links_mu_);
+    links_cv_.wait_for(links, std::chrono::milliseconds(2500), [this] {
+      for (BrokerId b = 1; b < nodes_.size(); ++b) {
+        std::lock_guard lock(nodes_[b]->peers_mu);
+        if (nodes_[b]->peer_fd.size() != overlay().neighbors(b).size()) {
+          return false;
+        }
       }
-    }
-    if (all) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      return true;
+    });
   }
 
   timer_thread_ = std::thread([this] { timer_loop(); });
@@ -245,10 +246,16 @@ void TcpTransport::accept_loop(BrokerId b) {
       ::close(fd);
       continue;
     }
-    std::lock_guard lock(node.peers_mu);
-    node.peer_fd[hello] = fd;
-    node.readers.emplace_back(
-        [this, b, peer = BrokerId{hello}, fd] { reader_loop(b, peer, fd); });
+    {
+      // Registered under links_mu_, which start() checks the links under,
+      // so its wait cannot miss this wake-up.
+      std::lock_guard links(links_mu_);
+      std::lock_guard lock(node.peers_mu);
+      node.peer_fd[hello] = fd;
+      node.readers.emplace_back(
+          [this, b, peer = BrokerId{hello}, fd] { reader_loop(b, peer, fd); });
+    }
+    links_cv_.notify_all();
   }
 }
 
@@ -335,13 +342,13 @@ void TcpTransport::process_frame(BrokerId self, BrokerId from,
                                  const Message& msg) {
   {
     std::lock_guard lock(nodes_[self]->state_mu);
-    enqueue(self, broker(self).on_message(from, msg));
+    transmit(self, broker(self).on_message(from, msg));
   }
   flush(self);
   retire(msg.cause);
 }
 
-void TcpTransport::enqueue(BrokerId from, Broker::Outputs outputs) {
+void TcpTransport::transmit(BrokerId from, Broker::Outputs outputs) {
   Node& node = *nodes_[from];
   for (auto& [to, msg] : outputs) {
     count_send(from, to, msg);
@@ -349,11 +356,6 @@ void TcpTransport::enqueue(BrokerId from, Broker::Outputs outputs) {
     std::lock_guard lock(box.mu);
     box.queue.push_back(std::move(msg));
   }
-}
-
-void TcpTransport::transmit(BrokerId from, Broker::Outputs outputs) {
-  enqueue(from, std::move(outputs));
-  flush(from);
 }
 
 void TcpTransport::flush(BrokerId from) {
@@ -400,7 +402,7 @@ void TcpTransport::run_on(BrokerId b, const Op& op) {
     std::lock_guard lock(nodes_[b]->state_mu);
     Broker::Outputs out;
     op(engine(b), out);
-    enqueue(b, std::move(out));
+    transmit(b, std::move(out));
   }
   flush(b);
 }

@@ -141,13 +141,12 @@ class TcpTransport final : public HostCore {
   void accept_loop(BrokerId b);
   void reader_loop(BrokerId self, BrokerId peer, int fd);
   void client_reader_loop(BrokerId self, ClientId client, int fd);
-  /// Counts and queues `outputs` on `from`'s outboxes. Callers hold `from`'s
-  /// state lock (or run outside any broker, as timers do).
-  void enqueue(BrokerId from, Broker::Outputs outputs);
-  /// enqueue + flush: the engines' transmit hook (timer callbacks).
+  /// Counts and queues `outputs` on `from`'s outboxes, writing no socket.
+  /// Callers hold `from`'s state lock: every engine and service callback
+  /// runs inside run_on or process_frame, which flush on release.
   void transmit(BrokerId from, Broker::Outputs outputs) override;
   /// Encodes and writes out `from`'s queued messages, except on links
-  /// another thread is already writing.
+  /// another thread is already writing. Called with no broker lock held.
   void flush(BrokerId from);
   void process_frame(BrokerId self, BrokerId from, const Message& msg);
   void timer_loop();
@@ -167,6 +166,10 @@ class TcpTransport final : public HostCore {
       extra_admin_routes_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> decode_failures_{0};
+  // Signalled by accept_loop after it registers a peer link; start() waits
+  // on it until every broker holds a link to each of its neighbours.
+  std::mutex links_mu_;
+  std::condition_variable links_cv_;
   std::chrono::steady_clock::time_point epoch_;
 
   std::mutex timer_mu_;

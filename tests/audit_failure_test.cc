@@ -56,15 +56,15 @@ TEST(AuditFailure, DroppedStateMessageLeavesAttributedOrphans) {
   TMPS_REQUIRE_TRACING();
   ScenarioConfig cfg = small(MobilityProtocol::Reconfiguration);
   std::unique_ptr<FailureInjector> inj;
-  cfg.post_build = [&](SimNetwork& net) {
-    inj = std::make_unique<FailureInjector>(net, FailurePlan{});
+  cfg.post_build.push_back([&](Scenario& sc) {
+    inj = std::make_unique<FailureInjector>(sc.net(), FailurePlan{});
     MessageFault f;
     f.action = MessageFault::Action::Drop;
     f.type = "move-state";
     f.after = 25.0;
     f.count = 1;
     inj->arm(f);
-  };
+  });
   Scenario s(cfg);
   s.run();
 
@@ -97,8 +97,8 @@ TEST(AuditFailure, DroppedPublicationsAreAttributedAsLostDeliveries) {
   TMPS_REQUIRE_TRACING();
   ScenarioConfig cfg = small(MobilityProtocol::Reconfiguration);
   std::unique_ptr<FailureInjector> inj;
-  cfg.post_build = [&](SimNetwork& net) {
-    inj = std::make_unique<FailureInjector>(net, FailurePlan{});
+  cfg.post_build.push_back([&](Scenario& sc) {
+    inj = std::make_unique<FailureInjector>(sc.net(), FailurePlan{});
     MessageFault f;
     f.action = MessageFault::Action::Drop;
     f.type = "pub";
@@ -106,7 +106,7 @@ TEST(AuditFailure, DroppedPublicationsAreAttributedAsLostDeliveries) {
     f.after = 30.0;
     f.count = -1;  // every publication entering broker 1 from t=30 on
     inj->arm(f);
-  };
+  });
   Scenario s(cfg);
   s.run();
 
@@ -126,8 +126,8 @@ TEST(AuditFailure, LateDuplicateAcrossIncarnationsIsFlagged) {
   TMPS_REQUIRE_TRACING();
   ScenarioConfig cfg = small(MobilityProtocol::Traditional);
   std::unique_ptr<FailureInjector> inj;
-  cfg.post_build = [&](SimNetwork& net) {
-    inj = std::make_unique<FailureInjector>(net, FailurePlan{});
+  cfg.post_build.push_back([&](Scenario& sc) {
+    inj = std::make_unique<FailureInjector>(sc.net(), FailurePlan{});
     MessageFault f;
     f.action = MessageFault::Action::Duplicate;
     f.type = "pub";
@@ -136,7 +136,7 @@ TEST(AuditFailure, LateDuplicateAcrossIncarnationsIsFlagged) {
     f.count = -1;
     f.delay = 6.5;  // longer than the 5 s pause: the mover has moved on
     inj->arm(f);
-  };
+  });
   Scenario s(cfg);
   s.run();
 
@@ -152,10 +152,10 @@ TEST(AuditFailure, LateDuplicateAcrossIncarnationsIsFlagged) {
 TEST(AuditFailure, MaskedBrokerCrashKeepsAuditGreen) {
   ScenarioConfig cfg = small(MobilityProtocol::Reconfiguration);
   std::unique_ptr<FailureInjector> inj;
-  cfg.post_build = [&](SimNetwork& net) {
-    inj = std::make_unique<FailureInjector>(net, FailurePlan{});
+  cfg.post_build.push_back([&](Scenario& sc) {
+    inj = std::make_unique<FailureInjector>(sc.net(), FailurePlan{});
     inj->crash_broker_at(3, 30.0, 2.0);
-  };
+  });
   Scenario s(cfg);
   s.run();
   EXPECT_TRUE(s.audit_report().clean()) << s.audit_report().summary();

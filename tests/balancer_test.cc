@@ -62,11 +62,11 @@ SkewedRun run_skewed(bool balance) {
   // Snapshot loads at warmup; the steady window is (final - baseline).
   auto baseline = std::make_shared<std::map<BrokerId, std::uint64_t>>();
   const double warmup = cfg.warmup;
-  cfg.post_build = [baseline, warmup](SimNetwork& net) {
-    net.events().schedule_at(warmup, [baseline, &net] {
-      *baseline = net.stats().broker_pub_loads();
+  cfg.post_build.push_back([baseline, warmup](Scenario& s) {
+    s.net().events().schedule_at(warmup, [baseline, &s] {
+      *baseline = s.stats().broker_pub_loads();
     });
-  };
+  });
 
   run.scenario = std::make_unique<Scenario>(std::move(cfg));
   run.scenario->run();

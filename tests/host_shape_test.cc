@@ -2,14 +2,18 @@
 // surface (HostCore, MobileClient) and run on the discrete-event SimNetwork
 // and on the socket-based TcpTransport. Both must commit the move, deliver
 // every publication exactly once to each receiver, and end with the same
-// routing rows at every broker.
+// routing rows at every broker — also with the coordinator timeouts armed,
+// under either protocol, which puts engine timers and (traditional) the
+// drain-based commit on the TCP host's timer and reader threads.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "core/mobile_client.h"
 #include "pubsub/workload.h"
@@ -56,9 +60,10 @@ void observe(HostCore& host, Outcome& o) {
 
 /// Chain-5: a publisher at B1, a stationary subscriber at B4 and a mover
 /// going B2 -> B5, with publications before and after the move. `settle`
-/// returns once everything sent so far has been handled.
+/// returns once everything sent so far has been handled; `outlive`, when
+/// set, runs before the rows are read (to let armed timers fire).
 void run_script(HostCore& host, const std::function<void()>& settle,
-                Outcome& o) {
+                Outcome& o, const std::function<void()>& outlive = {}) {
   MobileClient pub = MobileClient::connect(kPublisher, 1, host);
   MobileClient stationary = MobileClient::connect(kStationary, 4, host);
   MobileClient mover = MobileClient::connect(kMover, 2, host);
@@ -81,6 +86,7 @@ void run_script(HostCore& host, const std::function<void()>& settle,
   settle();
   EXPECT_EQ(mover.location(), 5u);
   publish(kPubs / 2 + 1, kPubs);
+  if (outlive) outlive();
 
   for (BrokerId b = 1; b <= host.overlay().broker_count(); ++b) {
     host.run_on(b, [&](MobilityEngine& e, Broker::Outputs&) {
@@ -131,6 +137,48 @@ TEST(HostShape, SimAndTcpAgreeOnOneMove) {
 
   EXPECT_FALSE(on_sim.rows.empty());
   EXPECT_EQ(on_sim.rows, on_tcp.rows);
+}
+
+/// The script with both coordinator timeouts armed. They are long enough
+/// that a healthy move never aborts on a loaded machine under a sanitizer,
+/// and the TCP run waits them out, so every armed timer fires (the sim's
+/// settle runs its timers anyway).
+void agree_with_timeouts_armed(MobilityProtocol protocol) {
+  constexpr double kTimeout = 1.0;
+  const Overlay overlay = Overlay::chain(5);
+  MobilityConfig mc;
+  mc.protocol = protocol;
+  mc.negotiate_timeout = kTimeout;
+  mc.prepare_timeout = kTimeout;
+
+  Outcome on_sim;
+  SimNetwork sim(overlay, no_covering(), NetworkProfile::lan(), mc);
+  observe(sim, on_sim);
+  run_script(sim, [&] { sim.run(); }, on_sim);
+  expect_exactly_once(on_sim, "sim");
+
+  Outcome on_tcp;
+  TcpTransport tcp(overlay, 0, no_covering(), mc);
+  observe(tcp, on_tcp);
+  ASSERT_TRUE(tcp.start());
+  run_script(tcp, [&] { tcp.drain(); }, on_tcp, [&] {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(kTimeout * 1.5));
+    tcp.drain();
+  });
+  tcp.stop();
+  expect_exactly_once(on_tcp, "tcp");
+
+  EXPECT_FALSE(on_sim.rows.empty());
+  EXPECT_EQ(on_sim.rows, on_tcp.rows);
+}
+
+TEST(HostShape, SimAndTcpAgreeWithTimeoutsArmedReconfiguration) {
+  agree_with_timeouts_armed(MobilityProtocol::Reconfiguration);
+}
+
+TEST(HostShape, SimAndTcpAgreeWithTimeoutsArmedTraditional) {
+  agree_with_timeouts_armed(MobilityProtocol::Traditional);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include "core/scenario.h"
 #include "failure/failure_injector.h"
-#include "repair/scenario_repair.h"
 
 namespace tmps {
 namespace {
@@ -62,19 +61,18 @@ TEST_P(PhaseCrashRepair, RepairConvergesAuditClean) {
   TMPS_REQUIRE_TRACING();
   const PhaseCase& pc = GetParam();
   ScenarioConfig cfg = chaos_config();
-  auto repair = repair::install_repair(cfg);
   std::unique_ptr<FailureInjector> inj;
-  cfg.post_build = [&](SimNetwork& net) {
+  cfg.post_build.push_back([&](Scenario& sc) {
     FailurePlan plan;
     plan.seed = cfg.seed;  // one seed reproduces workload and faults
-    inj = std::make_unique<FailureInjector>(net, plan);
+    inj = std::make_unique<FailureInjector>(sc.net(), plan);
     PhaseCrash crash;
     crash.victim = pc.victim;
     crash.phase = pc.phase;
     crash.outage = 1.5;
     crash.count = 1;
     inj->crash_at_phase(crash);
-  };
+  });
   Scenario s(cfg);
   s.run();
 
@@ -121,17 +119,17 @@ TEST(PhaseCrashRepair, DisabledRepairLeavesViolations) {
   ScenarioConfig cfg = chaos_config();
   cfg.broker.repair.enabled = false;
   std::unique_ptr<FailureInjector> inj;
-  cfg.post_build = [&](SimNetwork& net) {
+  cfg.post_build.push_back([&](Scenario& sc) {
     FailurePlan plan;
     plan.seed = cfg.seed;
-    inj = std::make_unique<FailureInjector>(net, plan);
+    inj = std::make_unique<FailureInjector>(sc.net(), plan);
     PhaseCrash crash;
     crash.victim = 8;
     crash.phase = "move-state";
     crash.outage = 1.5;
     crash.count = 1;
     inj->crash_at_phase(crash);
-  };
+  });
   Scenario s(cfg);
   s.run();
 

@@ -10,7 +10,6 @@
 
 #include "core/scenario.h"
 #include "repair/repair_admin.h"
-#include "repair/scenario_repair.h"
 
 namespace tmps {
 namespace {
@@ -39,9 +38,9 @@ ScenarioConfig stationary() {
 
 TEST(Repair, OrphanedClientEntryIsRetracted) {
   ScenarioConfig cfg = stationary();
-  auto repair = repair::install_repair(cfg);
   const SubscriptionId orphan_id{9999, 1};
-  cfg.post_build = [&](SimNetwork& net) {
+  cfg.post_build.push_back([&](Scenario& sc) {
+    SimNetwork& net = sc.net();
     net.events().schedule_at(15.0, [&net, orphan_id] {
       // A subscription whose lasthop claims a locally attached client that
       // no engine hosts: the residue of a crash-interrupted hand-off.
@@ -49,40 +48,42 @@ TEST(Repair, OrphanedClientEntryIsRetracted) {
       net.broker(4).tables().apply(
           RoutingMutation::add_sub(orphan, Hop::of_client(9999)));
     });
-  };
+  });
   Scenario s(cfg);
   s.run();
 
   EXPECT_EQ(s.net().broker(4).tables().prt().find(orphan_id), nullptr);
-  ASSERT_NE(repair->engine_of(4), nullptr);
-  EXPECT_GE(repair->engine_of(4)->stats().orphans_retracted, 1u);
+  ASSERT_NE(s.net().repair(4), nullptr);
+  EXPECT_GE(s.net().repair(4)->stats().orphans_retracted, 1u);
 }
 
 TEST(Repair, DisabledRepairLeavesOrphan) {
   ScenarioConfig cfg = stationary();
   cfg.broker.repair.enabled = false;
-  auto repair = repair::install_repair(cfg);
   const SubscriptionId orphan_id{9999, 1};
-  cfg.post_build = [&](SimNetwork& net) {
+  cfg.post_build.push_back([&](Scenario& sc) {
+    SimNetwork& net = sc.net();
     net.events().schedule_at(15.0, [&net, orphan_id] {
       Subscription orphan{orphan_id, workload_filter(WorkloadKind::Covered, 1)};
       net.broker(4).tables().apply(
           RoutingMutation::add_sub(orphan, Hop::of_client(9999)));
     });
-  };
+  });
   Scenario s(cfg);
   s.run();
 
   EXPECT_NE(s.net().broker(4).tables().prt().find(orphan_id), nullptr);
-  EXPECT_TRUE(repair->engines.empty());
+  for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+    EXPECT_EQ(s.net().repair(b), nullptr);
+  }
 }
 
 TEST(Repair, DigestExchangeReissuesLostForward) {
   ScenarioConfig cfg = stationary();
-  auto repair = repair::install_repair(cfg);
   SubscriptionId lost{};
   bool corrupted = false;
-  cfg.post_build = [&](SimNetwork& net) {
+  cfg.post_build.push_back([&](Scenario& sc) {
+    SimNetwork& net = sc.net();
     net.events().schedule_at(15.0, [&net, &lost, &corrupted] {
       // Broker 8 forwards subscriber state (homed at 1/2) towards the
       // publishers behind 9; erase one such entry at 9 as if the forward
@@ -96,25 +97,25 @@ TEST(Repair, DigestExchangeReissuesLostForward) {
         break;
       }
     });
-  };
+  });
   Scenario s(cfg);
   s.run();
 
   ASSERT_TRUE(corrupted) << "no forwarded entry found to corrupt";
   EXPECT_NE(s.net().broker(9).tables().prt().find(lost), nullptr)
       << "digest/request/reissue should reinstall the lost entry";
-  ASSERT_NE(repair->engine_of(9), nullptr);
-  EXPECT_GE(repair->engine_of(9)->stats().reissues_requested, 1u);
-  ASSERT_NE(repair->engine_of(8), nullptr);
-  EXPECT_GE(repair->engine_of(8)->stats().reissues_served, 1u);
+  ASSERT_NE(s.net().repair(9), nullptr);
+  EXPECT_GE(s.net().repair(9)->stats().reissues_requested, 1u);
+  ASSERT_NE(s.net().repair(8), nullptr);
+  EXPECT_GE(s.net().repair(8)->stats().reissues_served, 1u);
 }
 
 TEST(Repair, QuenchReconcileRestoresMissingForward) {
   ScenarioConfig cfg = stationary();
-  auto repair = repair::install_repair(cfg);
   SubscriptionId quenched{};
   bool corrupted = false;
-  cfg.post_build = [&](SimNetwork& net) {
+  cfg.post_build.push_back([&](Scenario& sc) {
+    SimNetwork& net = sc.net();
     net.events().schedule_at(15.0, [&net, &quenched, &corrupted] {
       // Forget that a subscription was forwarded towards the advertisers
       // behind 9 — quench drift: the SRT still says the link is needed.
@@ -127,7 +128,7 @@ TEST(Repair, QuenchReconcileRestoresMissingForward) {
         break;
       }
     });
-  };
+  });
   Scenario s(cfg);
   s.run();
 
@@ -135,17 +136,16 @@ TEST(Repair, QuenchReconcileRestoresMissingForward) {
   const SubEntry* e = s.net().broker(8).tables().prt().find(quenched);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->forwarded_to.contains(Hop::of_broker(9)));
-  ASSERT_NE(repair->engine_of(8), nullptr);
-  EXPECT_GE(repair->engine_of(8)->stats().unquenches, 1u);
+  ASSERT_NE(s.net().repair(8), nullptr);
+  EXPECT_GE(s.net().repair(8)->stats().unquenches, 1u);
 }
 
 TEST(Repair, AdminJsonExposesActivity) {
   ScenarioConfig cfg = stationary();
-  auto repair = repair::install_repair(cfg);
   Scenario s(cfg);
   s.run();
 
-  repair::RepairEngine* e = repair->engine_of(1);
+  repair::RepairEngine* e = s.net().repair(1);
   ASSERT_NE(e, nullptr);
   EXPECT_GT(e->stats().rounds, 0u);
   const std::string json = repair::repair_json(*e);

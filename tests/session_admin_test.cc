@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "pubsub/workload.h"
 #include "session/session_admin.h"
 #include "sim/network.h"
@@ -52,18 +50,22 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   return out;
 }
 
+BrokerConfig admin_cfg() {
+  BrokerConfig bc;
+  bc.session.enabled = true;
+  bc.session.grace = 5.0;
+  return bc;
+}
+
 struct AdminRig {
-  AdminRig() : overlay(Overlay::chain(2)), net(overlay) {
-    SessionConfig sc;
-    sc.enabled = true;
-    sc.grace = 5.0;
-    mgr = std::make_unique<session::SessionManager>(net.engine(1), net, sc);
-    net.engine(1).set_session_handler(mgr.get());
-  }
+  AdminRig()
+      : overlay(Overlay::chain(2)),
+        net(overlay, admin_cfg()),
+        mgr(net.sessions(1)) {}
 
   Overlay overlay;
   SimNetwork net;
-  std::unique_ptr<session::SessionManager> mgr;
+  session::SessionManager* mgr;
 };
 
 TEST(SessionAdmin, JsonExposesConfigCountersAndRows) {

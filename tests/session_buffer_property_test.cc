@@ -43,10 +43,7 @@ TEST(SessionBufferProperty, CapsHoldAndEveryPublicationAccountedOnce) {
       EXPECT_TRUE(delivered.insert(p.id()).second)
           << "duplicate delivery " << to_string(p.id()) << " seed " << seed;
     });
-    stub.set_drop_fn([&](const Publication& p, const char* reason) {
-      EXPECT_TRUE(std::string(reason) == "overflow" ||
-                  std::string(reason) == "expiry")
-          << reason;
+    stub.set_drop_fn([&](const Publication& p) {
       EXPECT_TRUE(dropped.insert(p.id()).second)
           << "publication dropped twice " << to_string(p.id()) << " seed "
           << seed;
@@ -86,10 +83,7 @@ TEST(SessionBufferProperty, OversizedSinglePublicationIsDroppedNotStuck) {
   stub.pause();
   stub.set_buffer_limits({0, 64});
   int drops = 0;
-  stub.set_drop_fn([&](const Publication&, const char* reason) {
-    EXPECT_STREQ(reason, "overflow");
-    ++drops;
-  });
+  stub.set_drop_fn([&](const Publication&) { ++drops; });
   // Larger than the whole byte budget: must not wedge the buffer.
   stub.on_notification(sized_pub(1, 500));
   EXPECT_EQ(stub.buffered_count(), 0u);
@@ -102,12 +96,11 @@ TEST(SessionBufferProperty, OversizedSinglePublicationIsDroppedNotStuck) {
 // reported, publication by publication.
 TEST(SessionBufferProperty, ManagerLedgerMatchesStubDropsExactly) {
   Overlay overlay = Overlay::chain(2);
-  SimNetwork net(overlay);
-  SessionConfig sc;
-  sc.enabled = true;
-  sc.buffer_max_count = 5;  // tiny cap: most of the flood overflows
-  session::SessionManager mgr(net.engine(1), net, sc);
-  net.engine(1).set_session_handler(&mgr);
+  BrokerConfig bc;
+  bc.session.enabled = true;
+  bc.session.buffer_max_count = 5;  // tiny cap: most of the flood overflows
+  SimNetwork net(overlay, bc);
+  session::SessionManager& mgr = *net.sessions(1);
 
   net.run_on(2, [](MobilityEngine& e, Broker::Outputs& out) {
     e.connect_client(1);

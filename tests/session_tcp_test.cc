@@ -70,20 +70,17 @@ class SessionTcpTest : public ::testing::Test {
     bc.subscription_covering = false;
     bc.advertisement_covering = false;
     bc.admin.enabled = true;
+    bc.session.enabled = true;
+    // Liveness driven by socket EOF in this test.
+    bc.session.heartbeat_interval = 0;
+    bc.session.grace = 30.0;          // long grace: nothing expires mid-test
+    bc.session.tick_interval = 0.05;  // fast sweeps so adoption is quick
     net_ = std::make_unique<TcpTransport>(overlay_, 0, bc);
-    SessionConfig sc;
-    sc.enabled = true;
-    sc.heartbeat_interval = 0;  // liveness driven by socket EOF in this test
-    sc.grace = 30.0;            // long grace: nothing expires mid-test
-    sc.tick_interval = 0.05;    // fast sweeps so adoption is quick
-    host_ = std::make_unique<TcpSessionHost>(*net_, sc);
+    host_ = std::make_unique<TcpSessionHost>(*net_);
     started_ = net_->start();
     host_->start();
   }
-  ~SessionTcpTest() override {
-    host_->stop();
-    net_->stop();
-  }
+  ~SessionTcpTest() override { net_->stop(); }
 
   /// Stationary publisher at broker 3 covering the whole space.
   void setup_publisher() {
@@ -173,7 +170,7 @@ TEST_F(SessionTcpTest, DropAndReconnectResumesAndReplaysBuffer) {
   ASSERT_TRUE(eventually(5.0, [&] {
     bool detached = false;
     net_->run_on(1, [&](MobilityEngine&, Broker::Outputs&) {
-      detached = host_->manager_of(1)->state_of(kEdge) ==
+      detached = net_->sessions(1)->state_of(kEdge) ==
                  session::SessionState::Detached;
     });
     return detached;

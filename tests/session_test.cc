@@ -9,8 +9,6 @@
 
 #include "core/scenario.h"
 #include "pubsub/workload.h"
-#include "repair/scenario_repair.h"
-#include "session/scenario_sessions.h"
 #include "session/session_manager.h"
 #include "sim/network.h"
 
@@ -31,23 +29,26 @@ SessionConfig test_session_cfg() {
   return sc;
 }
 
-/// Four chained brokers, each with a mobility engine and a session manager
-/// attached; ticks are driven manually so tests control the clock.
+BrokerConfig with_sessions(SessionConfig sc) {
+  BrokerConfig bc;
+  bc.session = sc;
+  return bc;
+}
+
+/// Four chained brokers, each with the host's mobility engine and session
+/// manager; ticks are driven manually so tests control the clock.
 struct Rig {
   explicit Rig(SessionConfig sc = test_session_cfg())
-      : overlay(Overlay::chain(4)), net(overlay) {
+      : overlay(Overlay::chain(4)), net(overlay, with_sessions(sc)) {
     for (BrokerId b = 1; b <= 4; ++b) {
       net.engine(b).set_delivery_sink(
           [this, b](ClientId c, const Publication& p, SimTime) {
             deliveries.push_back({b, c, p.id()});
           });
-      managers.push_back(
-          std::make_unique<SessionManager>(net.engine(b), net, sc));
-      net.engine(b).set_session_handler(managers.back().get());
     }
   }
 
-  SessionManager& mgr(BrokerId b) { return *managers[b - 1]; }
+  SessionManager& mgr(BrokerId b) { return *net.sessions(b); }
 
   /// Advances simulated time to `t` (draining everything scheduled).
   void advance_to(double t) {
@@ -107,7 +108,6 @@ struct Rig {
 
   Overlay overlay;
   SimNetwork net;
-  std::vector<std::unique_ptr<SessionManager>> managers;
   std::vector<Delivery> deliveries;
 };
 
@@ -428,45 +428,43 @@ TEST(Session, ScenarioExpiredSessionIsGarbageCollectedByRepair) {
   cfg.broker.session.grace = 5.0;
   cfg.broker.session.heartbeat_interval = 0;  // scripted clients: no beacons
 
-  auto repair = repair::install_repair(cfg);
-  auto sessions = session::install_sessions(cfg, repair);
   const ClientId victim = Scenario::subscriber_id(0);
   auto opened = std::make_shared<bool>(false);
 
-  // Chain after install_sessions so the managers exist when this runs.
-  auto prev = std::move(cfg.post_engines);
-  cfg.post_engines = [prev, sessions, victim, opened](Scenario& s) {
-    if (prev) prev(s);
-    s.net().events().schedule_at(15.0, [&s, sessions, victim, opened] {
+  cfg.post_build.push_back([victim, opened](Scenario& s) {
+    s.net().events().schedule_at(15.0, [&s, victim, opened] {
       for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
         if (!s.net().engine(b).find_client(victim)) continue;
-        session::SessionManager* m = sessions->manager_of(b);
+        session::SessionManager* m = s.net().sessions(b);
         if (!m) continue;
         *opened = m->open(victim) != session::kNoToken;
         m->disconnect(victim);
         return;
       }
     });
-  };
+  });
 
   Scenario s(cfg);
   s.run();
 
   ASSERT_TRUE(*opened) << "scripted session never opened";
+  const BrokerId n = s.net().overlay().broker_count();
   std::uint64_t expired = 0;
-  for (const auto& m : sessions->managers) expired += m->stats().expired;
+  for (BrokerId b = 1; b <= n; ++b) {
+    expired += s.net().sessions(b)->stats().expired;
+  }
   EXPECT_EQ(expired, 1u);
 
   // Nothing of the victim's routing state survives anywhere.
-  for (BrokerId b = 1; b <= s.net().overlay().broker_count(); ++b) {
+  for (BrokerId b = 1; b <= n; ++b) {
     for (const auto& [id, e] : s.net().broker(b).tables().prt()) {
       EXPECT_NE(id.client, victim) << "subscription residue at broker " << b;
     }
   }
   // Tombstones pruned by the quiet tail: session GC leaves no residue.
-  for (const auto& m : sessions->managers) {
-    EXPECT_EQ(m->expired_sessions(), 0u);
-    EXPECT_EQ(m->repair_hint(victim), 0);
+  for (BrokerId b = 1; b <= n; ++b) {
+    EXPECT_EQ(s.net().sessions(b)->expired_sessions(), 0u);
+    EXPECT_EQ(s.net().sessions(b)->repair_hint(victim), 0);
   }
 }
 
